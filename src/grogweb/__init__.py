@@ -54,6 +54,7 @@ from .webs import (
     grog_number,
     path_graph,
     residual_distribution,
+    solve_labellings,
     star_graph,
     web_count_formula,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "run_claims",
     "run_strategy",
     "solve_exact",
+    "solve_labellings",
     "star_graph",
     "underlying",
     "web_count_formula",

@@ -31,12 +31,14 @@ from .engine import (
 from .graphs import CapExceeded, Digraph, GraphError, UGraph, digraph_to_json
 from .jaco import build_jaco, jaconian_vertex, max_degree_vertices
 from .webs import (
-    _web_grog_values,
+    WEB_N_CAP,
     automorphism_count,
     complete_graph,
     cycle_graph,
     enumerate_webs,
+    grog_number,
     path_graph,
+    residual_distribution,
     star_graph,
     web_count_formula,
 )
@@ -279,21 +281,24 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int = SOLVER_ARC_CAP) -
     return _report("def-2.2-equivalence", _assert_status(failures), len(corpus), failures, values)
 
 
-def _path_grogs(n_max: int, arc_cap: int) -> dict[int, int]:
-    return {n: min(_web_grog_values(path_graph(n), arc_cap, 8, 12)) for n in range(3, n_max + 1)}
+def _family_grogs(family, n_max: int, arc_cap: int) -> dict[int, int]:
+    return {n: grog_number(family(n), arc_cap=arc_cap).grog for n in range(3, n_max + 1)}
 
 
-def _cycle_grogs(n_max: int, arc_cap: int) -> dict[int, int]:
-    return {n: min(_web_grog_values(cycle_graph(n), arc_cap, 8, 12)) for n in range(3, n_max + 1)}
+def _check_family_range(what: str, n_max: int) -> None:
+    """Reject n_max outside 3..WEB_N_CAP before any enumeration."""
+    if n_max < 3:
+        raise GraphError(f"{what} needs n_max >= 3, got {n_max}")
+    if n_max > WEB_N_CAP:
+        raise CapExceeded(
+            f"{what} capped at n_max = {WEB_N_CAP} for enumeration cost, got {n_max}"
+        )
 
 
 def check_path_recursion(n_max: int, arc_cap: int = SOLVER_ARC_CAP) -> ClaimReport:
     """cor-2.5: brute-forced g(P_n) satisfies g(P_{n+1}) = g(P_n) + (n - 1)."""
-    if n_max < 3:
-        raise ValueError(f"path recursion needs n_max >= 3, got {n_max}")
-    if n_max > 6:
-        raise CapExceeded(f"path recursion capped at n_max = 6 for enumeration cost, got {n_max}")
-    g = _path_grogs(n_max, arc_cap)
+    _check_family_range("path recursion", n_max)
+    g = _family_grogs(path_graph, n_max, arc_cap)
     failures = []
     for n in range(3, n_max):
         if g[n + 1] != g[n] + (n - 1):
@@ -309,17 +314,12 @@ def check_path_recursion(n_max: int, arc_cap: int = SOLVER_ARC_CAP) -> ClaimRepo
 
 def check_path_extension_report(n_max: int, arc_cap: int = SOLVER_ARC_CAP) -> ClaimReport:
     """prop-2.4 (report-only): per-web grog histograms and extension deltas."""
-    if n_max < 3:
-        raise ValueError(f"path extension report needs n_max >= 3, got {n_max}")
-    n_max = min(n_max, 6)
-    g = _path_grogs(n_max, arc_cap)
+    _check_family_range("path extension report", n_max)
+    g = _family_grogs(path_graph, n_max, arc_cap)
     per_web = {}
     for n in range(3, min(5, n_max) + 1):
-        values = _web_grog_values(path_graph(n), arc_cap, 8, 12)
-        hist: dict[str, int] = {}
-        for v in sorted(values):
-            hist[str(v)] = hist.get(str(v), 0) + 1
-        per_web[f"P{n}"] = hist
+        hist = residual_distribution(path_graph(n), arc_cap=arc_cap)
+        per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
     values = {"per_web_grog": per_web, "extension_deltas": deltas}
     return _report("prop-2.4", "reported", len(per_web) + len(deltas), [], values)
@@ -335,12 +335,9 @@ def check_cycle_relations(
     (already g(C_3) = 2 = g(P_3) rather than g(P_3) - 2), so the
     observed sequences are recorded without assertion.
     """
-    if n_max < 3:
-        raise ValueError(f"cycle relations need n_max >= 3, got {n_max}")
-    if n_max > 6:
-        raise CapExceeded(f"cycle relations capped at n_max = 6 for enumeration cost, got {n_max}")
-    gc = _cycle_grogs(n_max, arc_cap)
-    gp = _path_grogs(n_max, arc_cap)
+    _check_family_range("cycle relations", n_max)
+    gc = _family_grogs(cycle_graph, n_max, arc_cap)
+    gp = _family_grogs(path_graph, n_max, arc_cap)
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
     prop = _report(
@@ -397,9 +394,9 @@ def check_orientation_divergence(
         if base.n < 3:
             skipped.append(name)
             continue
-        grogs = _web_grog_values(base, arc_cap, 8, 12)
-        lo, hi = min(grogs), max(grogs)
-        values["bases"][name] = {"min": lo, "max": hi, "distinct": sorted(set(grogs))}
+        distinct = list(residual_distribution(base, arc_cap=arc_cap))
+        lo, hi = distinct[0], distinct[-1]
+        values["bases"][name] = {"min": lo, "max": hi, "distinct": distinct}
         instances += 1
         if lo == hi:
             failures.append({"base": name, "grog": lo})
@@ -415,7 +412,7 @@ def check_jaco_recursion(
 ) -> tuple[ClaimReport, ClaimReport, ClaimReport]:
     """lemma-2.9, prop-2.10 and cor-2.11 with exhaustively solved g(J_n(1))."""
     if n_max < 2:
-        raise ValueError(f"Jaco recursion needs n_max >= 2, got {n_max}")
+        raise GraphError(f"Jaco recursion needs n_max >= 2, got {n_max}")
     top = build_jaco(n_max)
     if len(top.digraph.arcs) > arc_cap:
         raise CapExceeded(
@@ -656,7 +653,11 @@ def _assemble(reports: list[ClaimReport], config: HarnessConfig) -> dict:
 
 
 def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
-    """Run the groups covering the requested claims; unknown ids raise KeyError."""
+    """Run the groups covering the requested claims; unknown ids raise KeyError.
+
+    A group that raises GraphError (a cap or a precondition) becomes
+    skipped entries with the reason; any other error propagates.
+    """
     unknown = [c for c in claim_ids if c not in CLAIM_INFO]
     if unknown:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
@@ -667,7 +668,7 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
             continue
         try:
             group_reports = runner()
-        except (GraphError, ValueError) as exc:
+        except GraphError as exc:
             group_reports = [
                 ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": str(exc)})
                 for cid in ids

@@ -22,6 +22,7 @@ from .competition import (
     jaco_competition_closed_form,
 )
 from .engine import (
+    SOLVER_ARC_CAP,
     StrategyError,
     Web,
     enumerate_greedy,
@@ -38,8 +39,8 @@ from .graphs import (
     digraph_to_json,
     ugraph_from_json,
     ugraph_to_json,
+    underlying,
 )
-from .engine import SOLVER_ARC_CAP
 from .jaco import build_jaco, jaco_to_json
 from .webs import (
     WEB_EDGE_CAP,
@@ -48,6 +49,7 @@ from .webs import (
     cycle_graph,
     enumerate_webs,
     path_graph,
+    solve_labellings,
     star_graph,
     web_count_formula,
 )
@@ -55,11 +57,6 @@ from .webs import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _check_cap(flag: str, value: int, hard_limit: int) -> None:
-    if value > hard_limit:
-        raise GraphError(f"{flag} {value} exceeds the compiled hard limit {hard_limit}")
 
 
 def _load_json_file(path: str):
@@ -197,10 +194,13 @@ def cmd_enumerate(args) -> int:
         base = _FAMILIES[args.graph](args.n)
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
-    webs = list(enumerate_webs(base, dedup=args.dedup, n_cap=args.max_n, edge_cap=12))
+    webs = list(enumerate_webs(base, dedup=args.dedup, n_cap=args.max_n, edge_cap=WEB_EDGE_CAP))
     formula = web_count_formula(base.n, len(base.edges))
-    solves = [solve_exact(w, cap=args.max_arcs) for w in webs]
-    grogs = [s.grog for s in solves]
+    # every orientation of a labelled edge set shares its grog number
+    solved = solve_labellings(
+        base, arc_cap=args.max_arcs, n_cap=args.max_n, edge_cap=WEB_EDGE_CAP
+    )
+    grogs = [solved[underlying(w.digraph).edges][1].grog for w in webs]
     grog = min(grogs)
     witness = webs[grogs.index(grog)]
 
@@ -230,11 +230,11 @@ def cmd_enumerate(args) -> int:
             obj["webs"] = [
                 {
                     "arcs": [list(a) for a in w.digraph.arcs],
-                    "grog": s.grog,
+                    "grog": value,
                     "greedy_count": g.count,
                     "greedy_min": g.min_residual,
                 }
-                for w, s, g in zip(webs, solves, greedy)
+                for w, value, g in zip(webs, grogs, greedy)
             ]
         text = _json_text(obj)
     else:
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = gsub.add_parser("solve", help="exact grog number of a web")
     ps.add_argument("input", help="digraph JSON file")
     ps.add_argument("--witness", action="store_true", help="include a witness strategy")
-    ps.add_argument("--max-arcs", type=int, default=24)
+    ps.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
     common(ps, ["text", "json"])
     ps.set_defaults(func=cmd_grog_solve)
 
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--strategy", required=True, help="strategy JSON file")
     pr.add_argument("--require-exit", action="store_true",
                     help="fail unless the strategy reaches a terminal state")
-    pr.add_argument("--max-arcs", type=int, default=24)
+    pr.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
     common(pr, ["text", "json"])
     pr.set_defaults(func=cmd_grog_run)
 
@@ -371,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true", help="emit each distinct web once")
     p.add_argument("--distribution", action="store_true",
                    help="include the residual histogram and per-web greedy counts")
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--max-arcs", type=int, default=24)
+    p.add_argument("--max-n", type=int, default=WEB_N_CAP)
+    p.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
     common(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_enumerate)
 
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--claim", metavar="ID", help="run a single claim by id")
     p.add_argument("--n-max", type=int, help="override the range cap of range-based claims")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-arcs", type=int, default=24)
+    p.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
     common(p, ["text", "json"])
     p.set_defaults(func=cmd_verify)
 

@@ -5,10 +5,20 @@ webs.  Webs whose arc sets coincide are the same web; they arise from
 base-graph automorphisms acting simultaneously on labels and directions,
 and deduplication keeps the first occurrence in stream order, which is
 the lexicographically least (label sequence, arc set) representative.
-For bases with exactly 2 automorphisms the deduplicated count equals the
-half-formula n! * 2^eps / 2; for other automorphism group sizes the two
-numbers differ and both are reported by the verification harness rather
-than reconciled.
+The n! indexings give n!/|Aut(G)| distinct labelled edge sets, each with
+2^eps orientations that are all distinct webs, so the deduplicated count
+is n! * 2^eps / |Aut(G)|.  For bases with exactly 2 automorphisms that
+equals the half-formula n! * 2^eps / 2; for other automorphism group
+sizes the two numbers differ and both are reported by the verification
+harness rather than reconciled.
+
+Graph-level values need no orientations.  A predation lowers both
+endpoint populations by one, so a set of arcs can be consumed, in any
+order, exactly when every vertex v meets at most v of them; arc
+direction plays no part.  Every orientation of a labelled edge set
+therefore has the same grog number, and graph-level values cost one
+exact solve per labelled edge set (at most n!), not one per web
+(n! * 2^eps).
 """
 
 from __future__ import annotations
@@ -17,10 +27,9 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .engine import SOLVER_ARC_CAP, Strategy, Web, solve_exact
+from .engine import SOLVER_ARC_CAP, SolveResult, Strategy, Web, solve_exact
 from .graphs import (
     CapExceeded,
     Digraph,
@@ -34,6 +43,9 @@ from .graphs import (
 WEB_N_CAP = 8
 WEB_EDGE_CAP = 12
 INT64_MAX = 2**63 - 1
+
+# A labelled edge set: the sorted (u, v), u < v, edges of one indexing.
+LabelledEdges = tuple[tuple[int, int], ...]
 
 
 def path_graph(n: int) -> UGraph:
@@ -76,6 +88,15 @@ def web_count_formula(n: int, eps: int) -> int:
     return value
 
 
+def _check_base(g: UGraph, n_cap: int, edge_cap: int) -> None:
+    if not is_connected(g):
+        raise GraphError("base graph must be connected")
+    if g.n > n_cap:
+        raise CapExceeded(f"n={g.n} exceeds the web enumeration cap {n_cap}")
+    if len(g.edges) > edge_cap:
+        raise CapExceeded(f"{len(g.edges)} edges exceed the web enumeration cap {edge_cap}")
+
+
 def enumerate_webs(
     g: UGraph,
     dedup: bool = False,
@@ -89,13 +110,8 @@ def enumerate_webs(
     bits in binary counting order applied to the sorted base edges.
     With dedup, each arc set is emitted once, at first occurrence.
     """
-    if not is_connected(g):
-        raise GraphError("base graph must be connected")
-    if g.n > n_cap:
-        raise CapExceeded(f"n={g.n} exceeds the web enumeration cap {n_cap}")
+    _check_base(g, n_cap, edge_cap)
     eps = len(g.edges)
-    if eps > edge_cap:
-        raise CapExceeded(f"{eps} edges exceed the web enumeration cap {edge_cap}")
 
     def gen() -> Iterator[Web]:
         seen: set[tuple[tuple[int, int], ...]] = set()
@@ -131,13 +147,31 @@ def automorphism_count(g: UGraph, cap: int = WEB_N_CAP) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _web_grog_values(g: UGraph, arc_cap: int, n_cap: int, edge_cap: int) -> tuple[int, ...]:
-    """Exact grog number of every deduplicated web, in stream order."""
-    return tuple(
-        solve_exact(w, cap=arc_cap).grog
-        for w in enumerate_webs(g, dedup=True, n_cap=n_cap, edge_cap=edge_cap)
-    )
+def solve_labellings(
+    g: UGraph,
+    *,
+    arc_cap: int = SOLVER_ARC_CAP,
+    n_cap: int = WEB_N_CAP,
+    edge_cap: int = WEB_EDGE_CAP,
+) -> dict[LabelledEdges, tuple[Web, SolveResult]]:
+    """One exact solve per distinct labelled edge set of g.
+
+    Indexings are walked in lexicographic order.  Each new labelled edge
+    set maps to the web `enumerate_webs` emits for that indexing at
+    direction mask 0, together with its `solve_exact` result; keys stay
+    in order of first occurrence.  Every orientation of an edge set has
+    the same grog number, and among the deduplicated webs each edge set
+    accounts for exactly 2^eps of them.
+    """
+    _check_base(g, n_cap, edge_cap)
+    solved: dict[LabelledEdges, tuple[Web, SolveResult]] = {}
+    for labels in indexings(g.n, cap=n_cap):
+        arcs = [(labels[p - 1], labels[q - 1]) for p, q in g.edges]
+        key = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
+        if key not in solved:
+            web = Web(Digraph(g.n, tuple(sorted(arcs))))
+            solved[key] = (web, solve_exact(web, cap=arc_cap))
+    return solved
 
 
 @dataclass(frozen=True)
@@ -158,19 +192,14 @@ def grog_number(
 ) -> GraphGrogResult:
     """Minimum grog number over every indexing and orientation of g.
 
-    The witness is the first optimal web in stream order; since dedup
-    preserves first occurrences, the same witness results with or
-    without deduplication.
+    The witness is the first optimal web in stream order, with or
+    without deduplication: the mask-0 web of the first indexing whose
+    edge set attains the minimum, since every earlier indexing has a
+    larger value in all of its orientations.
     """
-    values = _web_grog_values(g, arc_cap, n_cap, edge_cap)
-    best = min(values)
-    idx = values.index(best)
-    web = next(
-        itertools.islice(
-            enumerate_webs(g, dedup=True, n_cap=n_cap, edge_cap=edge_cap), idx, None
-        )
-    )
-    return GraphGrogResult(best, web, solve_exact(web, cap=arc_cap).witness)
+    solved = solve_labellings(g, arc_cap=arc_cap, n_cap=n_cap, edge_cap=edge_cap)
+    web, best = min(solved.values(), key=lambda pair: pair[1].grog)
+    return GraphGrogResult(best.grog, web, best.witness)
 
 
 def residual_distribution(
@@ -181,5 +210,7 @@ def residual_distribution(
     edge_cap: int = WEB_EDGE_CAP,
 ) -> dict[int, int]:
     """Histogram grog number -> web count over the deduplicated webs."""
-    values = _web_grog_values(g, arc_cap, n_cap, edge_cap)
-    return dict(sorted(Counter(values).items()))
+    solved = solve_labellings(g, arc_cap=arc_cap, n_cap=n_cap, edge_cap=edge_cap)
+    counts = Counter(result.grog for _, result in solved.values())
+    orientations = 1 << len(g.edges)
+    return {grog: count * orientations for grog, count in sorted(counts.items())}

@@ -23,10 +23,11 @@ from grogweb.competition import check_theorem_1_1, competition_graph
 from grogweb.engine import Web, solve_exact
 from grogweb.jaco import build_jaco, jaconian_vertex
 from grogweb.webs import (
-    _web_grog_values,
     complete_graph,
     cycle_graph,
+    grog_number,
     path_graph,
+    residual_distribution,
     star_graph,
 )
 
@@ -79,7 +80,7 @@ def test_criterion_2_competition_closed_form():
 def test_criterion_3_path_recursion():
     with criterion(3, "g(P_n) = [2, 4, 7, 11] with the +(n-1) recursion"):
         start = time.perf_counter()
-        g = {n: min(_web_grog_values(path_graph(n), 24, 8, 12)) for n in range(3, 7)}
+        g = {n: grog_number(path_graph(n)).grog for n in range(3, 7)}
         assert [g[n] for n in range(3, 7)] == [2, 4, 7, 11]
         for n in range(3, 6):
             assert g[n + 1] == g[n] + (n - 1)
@@ -140,11 +141,11 @@ def test_criterion_7_orientation_divergence():
             ("star4", star_graph(4)),
             ("K4", complete_graph(4)),
         ]
-        p3_values = set(_web_grog_values(path_graph(3), 24, 8, 12))
+        p3_values = set(residual_distribution(path_graph(3)))
         assert p3_values == {2, 4}
         non_divergent = []
         for name, base in bases:
-            values = _web_grog_values(base, 24, 8, 12)
+            values = list(residual_distribution(base))
             if min(values) == max(values):
                 non_divergent.append((name, min(values)))
         assert not non_divergent, (

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import grogweb.claims as claims
 import grogweb.engine as engine
 from grogweb.claims import (
     CLAIM_ORDER,
@@ -20,8 +21,9 @@ from grogweb.claims import (
     run_all,
     run_claims,
 )
-from grogweb.graphs import CapExceeded
-from grogweb.webs import enumerate_webs, path_graph
+from grogweb.engine import IllegalBatchError
+from grogweb.graphs import CapExceeded, GraphError
+from grogweb.webs import WEB_N_CAP, enumerate_webs, path_graph
 
 SMALL = HarnessConfig(runs_per_web=3, random_webs=5, random_greedy_webs=10)
 
@@ -59,7 +61,24 @@ class TestPathAndCycle:
         with pytest.raises(ValueError):
             check_path_recursion(2)
         with pytest.raises(CapExceeded):
-            check_path_recursion(7)
+            check_path_recursion(9)
+
+    def test_family_caps_raise_before_any_work(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumerated before the cap check")
+
+        monkeypatch.setattr(claims, "grog_number", no_enumeration)
+        monkeypatch.setattr(claims, "residual_distribution", no_enumeration)
+        for check in (check_path_recursion, check_path_extension_report, check_cycle_relations):
+            with pytest.raises(CapExceeded):
+                check(WEB_N_CAP + 1)
+            with pytest.raises(GraphError):
+                check(2)
+
+    def test_path_recursion_past_six(self):
+        report = check_path_recursion(7)
+        assert report.status == "pass"
+        assert report.values["g"]["7"] == 16
 
     def test_cycle_relations_are_report_only(self):
         prop, cor = check_cycle_relations(6)
@@ -89,7 +108,7 @@ class TestJacoClaims:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             check_jaco_recursion(9, arc_cap=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError):
             check_jaco_recursion(1)
 
 
@@ -175,6 +194,14 @@ class TestRunAll:
         by_id = {c["id"]: c for c in report["claims"]}
         assert by_id["cor-2.5"]["status"] == "skipped"
         assert "n_max" in by_id["cor-2.5"]["values"]["skip_reason"]
+
+    def test_engine_error_is_not_skipped(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise IllegalBatchError("injected engine fault", step=0)
+
+        monkeypatch.setattr(claims, "check_web_count", broken)
+        with pytest.raises(IllegalBatchError):
+            run_claims(["web-count"], SMALL)
 
     def test_single_claim_subset(self):
         report = run_claims(["cor-2.5"], SMALL)

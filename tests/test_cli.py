@@ -1,8 +1,21 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
+
+from grogweb import cli
+from grogweb.engine import enumerate_greedy, solve_exact
+from grogweb.graphs import digraph_to_json, ugraph_to_json
+from grogweb.webs import (
+    complete_graph,
+    cycle_graph,
+    enumerate_webs,
+    path_graph,
+    star_graph,
+    web_count_formula,
+)
 
 CMD = [sys.executable, "-m", "grogweb"]
 
@@ -191,6 +204,66 @@ class TestEnumerateCommand:
         assert "min 2, max 2" in proc.stdout
 
 
+def per_web_enumerate_output(base, dedup: bool, fmt: str) -> str:
+    """`enumerate --distribution` output computed with solve_exact on every web."""
+    webs = list(enumerate_webs(base, dedup=dedup))
+    grogs = [solve_exact(w).grog for w in webs]
+    grog = min(grogs)
+    distribution = dict(sorted(Counter(grogs).items()))
+    greedy = [enumerate_greedy(w) for w in webs]
+    formula = web_count_formula(base.n, len(base.edges))
+    if fmt == "csv":
+        return "residual,count\n" + "".join(f"{r},{c}\n" for r, c in distribution.items())
+    if fmt == "json":
+        obj = {
+            "base": ugraph_to_json(base),
+            "dedup": dedup,
+            "web_count": len(webs),
+            "formula_count": formula,
+            "grog": grog,
+            "witness": digraph_to_json(webs[grogs.index(grog)].digraph),
+            "distribution": [{"residual": r, "count": c} for r, c in distribution.items()],
+            "webs": [
+                {
+                    "arcs": [list(a) for a in w.digraph.arcs],
+                    "grog": value,
+                    "greedy_count": g.count,
+                    "greedy_min": g.min_residual,
+                }
+                for w, value, g in zip(webs, grogs, greedy)
+            ],
+        }
+        return json.dumps(obj, indent=2) + "\n"
+    counts = [g.count for g in greedy]
+    lines = [
+        f"base graph: n={base.n}, {len(base.edges)} edges",
+        f"webs enumerated: {len(webs)}{' (dedup)' if dedup else ''}"
+        f"    half-formula count: {formula}",
+        f"grog number g(G) = {grog}",
+        "residual distribution:",
+        *(f"  {r}: {c}" for r, c in distribution.items()),
+        f"greedy strategies per web: min {min(counts)}, max {max(counts)}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize(
+    "family, n, base",
+    [
+        ("path", 3, path_graph(3)),
+        ("cycle", 4, cycle_graph(4)),
+        ("star", 4, star_graph(4)),
+        ("complete", 4, complete_graph(4)),
+    ],
+)
+def test_enumerate_matches_per_web_solves(capsys, family, n, base, dedup, fmt):
+    argv = ["enumerate", "--graph", family, "--n", str(n), "--distribution", "--format", fmt]
+    assert cli.main(argv + (["--dedup"] if dedup else [])) == 0
+    assert capsys.readouterr().out == per_web_enumerate_output(base, dedup, fmt)
+
+
 class TestVerifyCommand:
     def test_single_claim_cor25(self):
         proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "6", "--format", "json")
@@ -205,6 +278,13 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--claim", "nosuch")
         assert proc.returncode == 2
         assert "unknown claim" in proc.stderr
+
+    def test_path_claim_runs_past_six(self):
+        proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "7", "--format", "json")
+        assert proc.returncode == 0
+        claim = json.loads(proc.stdout)["claims"][0]
+        assert claim["status"] == "pass"
+        assert claim["values"]["g"]["7"] == 16
 
     def test_below_domain_is_skipped(self):
         proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "2", "--format", "json")

@@ -1,8 +1,14 @@
+import math
+from collections import Counter
+
 import pytest
 from conftest import EXAMPLE1_WEBS
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import grogweb.webs as webs
 from grogweb.engine import run_strategy, solve_exact
-from grogweb.graphs import CapExceeded, GraphError, make_ugraph
+from grogweb.graphs import CapExceeded, GraphError, make_ugraph, underlying
 from grogweb.webs import (
     automorphism_count,
     complete_graph,
@@ -11,9 +17,34 @@ from grogweb.webs import (
     grog_number,
     path_graph,
     residual_distribution,
+    solve_labellings,
     star_graph,
     web_count_formula,
 )
+
+
+@st.composite
+def connected_bases(draw, max_n=5, max_edges=6):
+    """A connected base graph: a random spanning tree plus extra edges."""
+    n = draw(st.integers(2, max_n))
+    edges = {
+        (draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)
+    }
+    pool = [
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in edges
+    ]
+    room = min(max_edges - len(edges), len(pool))
+    extra = draw(st.lists(st.sampled_from(pool), max_size=room, unique=True)) if room else []
+    return make_ugraph(n, sorted(edges | set(extra)))
+
+
+def per_web_reference(g):
+    """The per-web path: solve_exact on every deduplicated web in stream order."""
+    stream = list(enumerate_webs(g, dedup=True))
+    solves = [solve_exact(w) for w in stream]
+    grogs = [s.grog for s in solves]
+    first = grogs.index(min(grogs))
+    return grogs, stream[first], solves[first].witness
 
 
 class TestConstructors:
@@ -135,3 +166,68 @@ class TestResidualDistribution:
 
     def test_single_edge(self):
         assert residual_distribution(path_graph(2)) == {1: 2}
+
+
+class TestSolveLabellings:
+    def test_one_solve_per_labelled_edge_set(self, monkeypatch):
+        calls = []
+
+        def counting(web, cap):
+            calls.append(web)
+            return solve_exact(web, cap=cap)
+
+        monkeypatch.setattr(webs, "solve_exact", counting)
+        for base in (path_graph(4), cycle_graph(4), star_graph(4), complete_graph(4)):
+            calls.clear()
+            solved = solve_labellings(base)
+            expected = math.factorial(base.n) // automorphism_count(base)
+            assert len(solved) == len(calls) == expected
+
+    def test_values_are_first_mask_zero_webs(self):
+        base = cycle_graph(4)
+        expected = {}
+        # the raw stream holds 2^eps webs per indexing, mask 0 first
+        for web in list(enumerate_webs(base))[:: 1 << len(base.edges)]:
+            expected.setdefault(underlying(web.digraph).edges, web)
+        solved = solve_labellings(base)
+        assert list(solved) == list(expected)
+        for key, (web, result) in solved.items():
+            assert web == expected[key]
+            assert result == solve_exact(web)
+
+    def test_raises_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the cap check")
+
+        monkeypatch.setattr(webs, "solve_exact", no_solve)
+        with pytest.raises(CapExceeded):
+            solve_labellings(path_graph(3), n_cap=2)
+        with pytest.raises(CapExceeded):
+            solve_labellings(path_graph(3), edge_cap=1)
+        with pytest.raises(GraphError):
+            solve_labellings(make_ugraph(3, [(1, 2)]))
+
+    def test_arc_cap_reaches_the_solver(self):
+        with pytest.raises(CapExceeded):
+            solve_labellings(path_graph(3), arc_cap=1)
+
+
+class TestAgainstPerWebSolves:
+    """Graph-level values from one solve per labelled edge set agree with
+    solve_exact on every deduplicated web."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(connected_bases())
+    @example(complete_graph(4))
+    @example(cycle_graph(5))
+    @example(make_ugraph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]))
+    def test_graph_level_values(self, g):
+        grogs, web, strategy = per_web_reference(g)
+        hist = residual_distribution(g)
+        assert hist == dict(sorted(Counter(grogs).items()))
+        assert min(hist) == min(grogs)
+        assert set(hist) == set(grogs)
+        result = grog_number(g)
+        assert result.grog == min(grogs)
+        assert result.web == web
+        assert result.strategy == strategy
