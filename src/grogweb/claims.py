@@ -643,12 +643,18 @@ def _config_json(config: HarnessConfig) -> dict:
 def _assemble(reports: list[ClaimReport], config: HarnessConfig) -> dict:
     by_id = {r.claim_id: r for r in reports}
     ordered = [by_id[c] for c in CLAIM_ORDER if c in by_id]
-    failed = any(r.mode == ASSERT and r.status == "fail" for r in ordered)
+    asserted = {r.status for r in ordered if r.mode == ASSERT}
+    if "fail" in asserted:
+        status = "fail"
+    elif "skipped" in asserted:
+        status = "incomplete"
+    else:
+        status = "pass"
     return {
         "seed": config.seed,
         "caps": _config_json(config),
         "claims": [r.to_json() for r in ordered],
-        "status": "fail" if failed else "pass",
+        "status": status,
     }
 
 
@@ -681,8 +687,9 @@ def run_all(config: HarnessConfig | None = None) -> dict:
     """Run every registered claim and aggregate the full report.
 
     Per-claim precondition violations become skipped entries with a
-    reason instead of aborting the run; overall status is pass exactly
-    when no assert-mode claim failed.
+    reason instead of aborting the run.  Overall status is "fail" when
+    an assert-mode claim failed, otherwise "incomplete" when one was
+    skipped, and "pass" only when every assert-mode claim ran and passed.
     """
     if config is None:
         config = HarnessConfig()

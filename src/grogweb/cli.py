@@ -3,7 +3,7 @@
 Subcommands: jaco, competition, grog solve, grog run, enumerate, verify.
 stdout carries data, stderr carries diagnostics; --out redirects the data
 to a file.  Exit codes: 0 success / all asserts pass, 1 assertion or
-strategy failure, 2 usage, parse or cap error.
+strategy failure or a skipped assert, 2 usage, parse or cap error.
 """
 
 from __future__ import annotations
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--strategy", required=True, help="strategy JSON file")
     pr.add_argument("--require-exit", action="store_true",
                     help="fail unless the strategy reaches a terminal state")
-    pr.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
     common(pr, ["text", "json"])
     pr.set_defaults(func=cmd_grog_run)
 

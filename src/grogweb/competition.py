@@ -1,19 +1,27 @@
 """Competition graphs and the Jaco-graph closed form.
 
 Two vertices compete when they share at least one common out-neighbor
-(common prey).  For Jaco graphs of order at least 5 the competition
-graph also has a closed form: take the undirected subgraph induced by
-v_3 .. v_{n-1}, remove the edge from each v_i (3 <= i <= n-2) to its
-furthest out-neighbor v_{i + d+(v_i)} whenever that endpoint still lies
-inside the induced range, and re-attach v_1, v_2, v_n as isolated
-vertices.  check_theorem_1_1 compares the two routes edge for edge.
+(common prey).  The direct route works for any digraph on big-int
+bitsets: preds[z] has bit t set for every in-neighbor t of z, and one OR
+per arc (t, h) adds preds[h] to rivals[t], the set of vertices sharing
+some prey with t (t itself included when it has an out-arc).  Each u
+then reads its edges off the set bits of rivals[u] above bit u, which
+come out in ascending order, so the edge list is sorted as built.
+
+For Jaco graphs of order at least 5 the competition graph also has a
+closed form: take the undirected subgraph induced by v_3 .. v_{n-1},
+remove the edge from each v_i (3 <= i <= n-2) to its furthest
+out-neighbor v_{i + d+(v_i)} whenever that endpoint still lies inside
+the induced range, and re-attach v_1, v_2, v_n as isolated vertices.
+It uses no bitsets: Jaco arcs point upward and arrive sorted by (tail,
+head), so filtering them yields the sorted edge tuple directly.
+check_theorem_1_1 compares the two routes edge for edge.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, compress, count, repeat
 
 from .graphs import Digraph, GraphError, UGraph, ugraph_to_dot, ugraph_to_json
 from .jaco import build_jaco
@@ -31,25 +39,29 @@ class CompetitionGraph:
     isolated: tuple[int, ...]
 
 
-def _with_isolated(n: int, edges: set[tuple[int, int]]) -> CompetitionGraph:
-    touched = {v for e in edges for v in e}
-    isolated = tuple(v for v in range(1, n + 1) if v not in touched)
-    return CompetitionGraph(UGraph(n, tuple(sorted(edges))), isolated)
-
-
 def competition_graph(d: Digraph) -> CompetitionGraph:
-    """Competition graph by direct definition.
+    """Competition graph by direct definition, on in-neighbor bitsets.
 
-    For every vertex z, all pairs of in-neighbors of z become edges.
+    Costs one big-int OR per arc plus one scan of each rivals bitset.
     """
-    by_head: dict[int, list[int]] = defaultdict(list)
+    n = d.n
+    preds = [0] * (n + 1)
     for t, h in d.arcs:
-        by_head[h].append(t)
-    edges: set[tuple[int, int]] = set()
-    for preds in by_head.values():
-        for u, w in combinations(sorted(preds), 2):
-            edges.add((u, w))
-    return _with_isolated(d.n, edges)
+        preds[h] |= 1 << t
+    rivals = [0] * (n + 1)
+    for t, h in d.arcs:
+        rivals[t] |= preds[h]
+    edges: list[tuple[int, int]] = []
+    isolated = []
+    for u in range(1, n + 1):
+        own = 1 << u
+        if rivals[u] | own == own:
+            isolated.append(u)
+            continue
+        # bin() of the bits above u, reversed so character k is bit u + 1 + k
+        above = bin(rivals[u] >> (u + 1))[:1:-1]
+        edges.extend(zip(repeat(u), compress(count(u + 1), map("1".__eq__, above))))
+    return CompetitionGraph(UGraph(n, tuple(edges)), tuple(isolated))
 
 
 def jaco_competition_closed_form(n: int) -> CompetitionGraph:
@@ -62,17 +74,15 @@ def jaco_competition_closed_form(n: int) -> CompetitionGraph:
     if type(n) is not int or n < 5:
         raise GraphError(f"closed form needs n >= 5, got {n!r}")
     jg = build_jaco(n)
-    lo, hi = 3, n - 1
-    edges = {
-        (min(t, h), max(t, h))
-        for t, h in jg.digraph.arcs
-        if lo <= t <= hi and lo <= h <= hi
-    }
-    for i in range(3, n - 1):
-        m = i + jg.out_deg[i - 1]
-        if m <= hi:
-            edges.discard((i, m))
-    return _with_isolated(n, edges)
+    out_deg = jg.out_deg
+    # t >= 3 and h <= n - 1 with t < h keep both endpoints in v_3 .. v_{n-1}
+    edges = tuple(
+        (t, h) for t, h in jg.digraph.arcs
+        if t >= 3 and h < n and h != t + out_deg[t - 1]
+    )
+    touched = set(chain.from_iterable(edges))
+    isolated = tuple(v for v in range(1, n + 1) if v not in touched)
+    return CompetitionGraph(UGraph(n, edges), isolated)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ the iteration at j = n.  Consequently the order-n graph is a prefix of
 the order-(n + 1) graph.
 
 Out-neighbors of a tail are a consecutive run i+1 .. 2i - d^-(v_i), a
-fact the competition closed form relies on.
+fact the competition closed form relies on.  build_jaco emits each run
+with one extend over a range, and keeps the in-degrees as a difference
+array: a run i+1 .. top adds one at i+1 and removes it after top, and
+the running sum is d^-(v_i) by the time tail i reads it.
 
 The Jaconian vertex v_i of J_n(1) is recovered from the extension step:
 going to order n + 1 adds exactly the arcs (v_{i+1}, v_{n+1}) through
@@ -22,6 +25,7 @@ i + d^+(v_i) must be n or n - 1, and 2i - n must be non-negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .graphs import CapExceeded, Digraph, GraphError, digraph_to_json
 
@@ -46,24 +50,30 @@ class JacoGraph:
 def build_jaco(n: int, cap: int = JACO_ORDER_CAP) -> JacoGraph:
     """Construct J_n(1) iteratively.
 
-    Linear in the arc count: each tail i emits the consecutive arcs
-    (i, i+1) .. (i, min(n, 2i - d^-(v_i))), and in-degrees are complete
-    before they are read because arcs only point upward.
+    Linear in the arc count with O(1) Python steps per tail: each tail i
+    emits the consecutive arcs (i, i+1) .. (i, min(n, 2i - d^-(v_i))) in
+    one extend, and in-degrees are complete before they are read because
+    arcs only point upward.
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"Jaco graph order must be a positive integer, got {n!r}")
     if n > cap:
         raise CapExceeded(f"Jaco order {n} exceeds the cap {cap}")
 
-    dminus = [0] * (n + 2)
+    step = [0] * (n + 2)  # difference array of the in-degrees
+    dminus = [0] * (n + 1)
     dplus = [0] * (n + 1)
     arcs: list[tuple[int, int]] = []
+    running = 0
     for i in range(1, n + 1):
-        hi = 2 * i - dminus[i]
-        for j in range(i + 1, min(n, hi) + 1):
-            arcs.append((i, j))
-            dminus[j] += 1
-            dplus[i] += 1
+        running += step[i]
+        dminus[i] = running
+        top = min(n, 2 * i - running)
+        if top > i:
+            arcs.extend(zip(repeat(i), range(i + 1, top + 1)))
+            step[i + 1] += 1
+            step[top + 1] -= 1
+            dplus[i] = top - i
 
     if n >= 2:
         # in-degree v_{n+1} would have, without materializing it
@@ -75,7 +85,7 @@ def build_jaco(n: int, cap: int = JACO_ORDER_CAP) -> JacoGraph:
     return JacoGraph(
         n=n,
         digraph=Digraph(n, tuple(arcs)),
-        in_deg=tuple(dminus[1:n + 1]),
+        in_deg=tuple(dminus[1:]),
         out_deg=tuple(dplus[1:]),
         jaconian=jaconian,
     )

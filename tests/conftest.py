@@ -97,6 +97,45 @@ def oracle_competition_edges(d) -> set[tuple[int, int]]:
     return edges
 
 
+def oracle_isolated(d) -> tuple[int, ...]:
+    """Vertices u with no out-neighbor z that any other vertex w also
+    preys on, by the literal scan over (z, w)."""
+    arcs = set(d.arcs)
+    vertices = range(1, d.n + 1)
+    return tuple(
+        u for u in vertices
+        if not any(
+            (u, z) in arcs and any((w, z) in arcs for w in vertices if w != u)
+            for z in vertices
+        )
+    )
+
+
+def oracle_jaco(n: int):
+    """J_n(1) head by head, straight from the definition.
+
+    For each head j = 1 .. n + 1 in increasing order, every earlier tail
+    i gets the arc (i, j) exactly when 2i - d^-(v_i) >= j, with d^-(v_i)
+    the in-degree accumulated so far; tails below j / 2 cannot qualify
+    and are not scanned.  Head n + 1 is only counted: its in-degree gives
+    the Jaconian vertex n - d^-(v_{n+1}).  Returns (arcs sorted by
+    (tail, head), in-degrees, out-degrees, Jaconian).
+    """
+    dminus = [0] * (n + 2)
+    arcs = []
+    for j in range(1, n + 2):
+        tails = [i for i in range((j + 1) // 2, j) if 2 * i - dminus[i] >= j]
+        dminus[j] = len(tails)
+        if j <= n:
+            arcs.extend((i, j) for i in tails)
+    arcs.sort()
+    out_deg = [0] * (n + 1)
+    for t, _ in arcs:
+        out_deg[t] += 1
+    jaconian = n - dminus[n + 1] if n >= 2 else None
+    return tuple(arcs), tuple(dminus[1:n + 1]), tuple(out_deg[1:]), jaconian
+
+
 def jaco_fixed_point_holds(digraph) -> bool:
     """Check the defining arc condition against in-degrees recomputed
     from the finished arc set: (i, j) present iff 2i - d^-(v_i) >= j."""

@@ -194,6 +194,14 @@ class TestRunAll:
         by_id = {c["id"]: c for c in report["claims"]}
         assert by_id["cor-2.5"]["status"] == "skipped"
         assert "n_max" in by_id["cor-2.5"]["values"]["skip_reason"]
+        # a failed assert (thm-2.6) outranks a skipped one
+        assert report["status"] == "fail"
+
+    def test_skipped_assert_claim_is_incomplete(self):
+        config = dataclasses.replace(SMALL, n_max_path=WEB_N_CAP + 1)
+        report = run_claims(["cor-2.5"], config)
+        assert report["claims"][0]["status"] == "skipped"
+        assert report["status"] == "incomplete"
 
     def test_engine_error_is_not_skipped(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -83,6 +83,19 @@ class TestCompetitionCommand:
         assert proc.returncode == 0
         assert proc.stdout == "equal\n"
 
+    def test_direct_route_at_600_equals_closed_form(self):
+        direct = run_cli("competition", "--jaco", "600", "--format", "json")
+        closed = run_cli("competition", "--jaco", "600", "--closed-form", "--format", "json")
+        assert direct.returncode == closed.returncode == 0
+        d, c = json.loads(direct.stdout), json.loads(closed.stdout)
+        assert d["edges"] == c["edges"]
+        assert d["isolated"] == c["isolated"]
+
+    def test_check_150(self):
+        proc = run_cli("competition", "--jaco", "150", "--check")
+        assert proc.returncode == 0
+        assert proc.stdout == "equal\n"
+
     def test_closed_form_below_domain(self):
         proc = run_cli("competition", "--jaco", "4", "--closed-form")
         assert proc.returncode == 2
@@ -146,6 +159,13 @@ class TestGrogCommand:
         proc = run_cli("grog", "run", web1_file, "--strategy", str(strategy))
         assert proc.returncode == 1
         assert "step 1" in proc.stderr
+
+    def test_run_rejects_max_arcs(self, web1_file, tmp_path):
+        strategy = tmp_path / "empty.json"
+        strategy.write_text("[]")
+        proc = run_cli("grog", "run", web1_file, "--strategy", str(strategy), "--max-arcs", "5")
+        assert proc.returncode == 2
+        assert "--max-arcs" in proc.stderr
 
     def test_solve_cap(self, web1_file):
         proc = run_cli("grog", "solve", web1_file, "--max-arcs", "1")
@@ -288,8 +308,16 @@ class TestVerifyCommand:
 
     def test_below_domain_is_skipped(self):
         proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "2", "--format", "json")
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["claims"][0]["status"] == "skipped"
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["claims"][0]["status"] == "skipped"
+        assert report["status"] == "incomplete"
+
+    def test_skipped_claim_is_not_a_pass(self):
+        proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "9")
+        assert proc.returncode == 1
+        assert "skipped" in proc.stdout
+        assert proc.stdout.endswith("overall: incomplete\n")
 
     def test_divergence_claim_fails_honestly(self):
         proc = run_cli("verify", "--claim", "thm-2.6", "--format", "json")

@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from conftest import oracle_competition_edges
+from conftest import oracle_competition_edges, oracle_isolated
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grogweb.competition import (
     check_theorem_1_1,
@@ -12,6 +14,17 @@ from grogweb.competition import (
 )
 from grogweb.graphs import GraphError, make_digraph
 from grogweb.jaco import build_jaco
+
+
+@st.composite
+def antiparallel_free_digraphs(draw):
+    """Each vertex pair gets no arc, the upward arc or the downward arc."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1)]
+    choice = draw(st.lists(st.sampled_from((None, "up", "down")),
+                           min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(u, w) if c == "up" else (w, u) for (u, w), c in zip(pairs, choice) if c]
+    return make_digraph(n, arcs)
 
 
 class TestCompetitionGraph:
@@ -45,6 +58,22 @@ class TestCompetitionGraph:
                 arcs.append((t, h))
             d = make_digraph(n, arcs)
             assert set(competition_graph(d).ugraph.edges) == oracle_competition_edges(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(antiparallel_free_digraphs())
+    def test_exact_output_matches_oracles(self, d):
+        c = competition_graph(d)
+        assert c.ugraph.n == d.n
+        assert c.ugraph.edges == tuple(sorted(oracle_competition_edges(d)))
+        assert c.isolated == oracle_isolated(d)
+
+    @pytest.mark.parametrize("n", [200, 301])
+    def test_large_jaco_direct_equals_closed_form_and_oracle(self, n):
+        d = build_jaco(n).digraph
+        direct = competition_graph(d)
+        assert direct == jaco_competition_closed_form(n)
+        assert direct.ugraph.edges == tuple(sorted(oracle_competition_edges(d)))
+        assert direct.isolated == oracle_isolated(d)
 
 
 class TestClosedForm:

@@ -1,5 +1,5 @@
 import pytest
-from conftest import jaco_fixed_point_holds
+from conftest import jaco_fixed_point_holds, oracle_jaco
 
 from grogweb.graphs import CapExceeded, GraphError
 from grogweb.jaco import (
@@ -30,6 +30,11 @@ class TestBuildJaco:
         # set and re-check the arc condition for every pair
         for n in (1, 2, 3, 5, 8, 13, 21, 40, 60):
             assert jaco_fixed_point_holds(build_jaco(n).digraph), n
+
+    def test_matches_head_by_head_oracle(self):
+        for n in range(1, 401):
+            jg = build_jaco(n)
+            assert (jg.digraph.arcs, jg.in_deg, jg.out_deg, jg.jaconian) == oracle_jaco(n), n
 
     def test_degree_bound(self):
         for n in range(1, 61):
