@@ -6,7 +6,9 @@ bitsets: preds[z] has bit t set for every in-neighbor t of z, and one OR
 per arc (t, h) adds preds[h] to rivals[t], the set of vertices sharing
 some prey with t (t itself included when it has an out-arc).  Each u
 then reads its edges off the set bits of rivals[u] above bit u, which
-come out in ascending order, so the edge list is sorted as built.
+come out in ascending order, so the edge list is sorted as built; the
+heads are taken from one list of vertex ints, so no int is allocated per
+edge.
 
 For Jaco graphs of order at least 5 the competition graph also has a
 closed form: take the undirected subgraph induced by v_3 .. v_{n-1},
@@ -14,14 +16,15 @@ remove the edge from each v_i (3 <= i <= n-2) to its furthest
 out-neighbor v_{i + d+(v_i)} whenever that endpoint still lies inside
 the induced range, and re-attach v_1, v_2, v_n as isolated vertices.
 It uses no bitsets: Jaco arcs point upward and arrive sorted by (tail,
-head), so filtering them yields the sorted edge tuple directly.
+head), so filtering them yields the sorted edge tuple directly, and the
+kept arc tuples serve as the edge tuples.
 check_theorem_1_1 compares the two routes edge for edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 
 from .graphs import Digraph, GraphError, UGraph, ugraph_to_dot, ugraph_to_json
 from .jaco import build_jaco
@@ -51,16 +54,17 @@ def competition_graph(d: Digraph) -> CompetitionGraph:
     rivals = [0] * (n + 1)
     for t, h in d.arcs:
         rivals[t] |= preds[h]
+    vertices = list(range(n + 1))  # one int per vertex, shared by all its edges
     edges: list[tuple[int, int]] = []
     isolated = []
-    for u in range(1, n + 1):
+    for u in vertices[1:]:
         own = 1 << u
         if rivals[u] | own == own:
             isolated.append(u)
             continue
         # bin() of the bits above u, reversed so character k is bit u + 1 + k
         above = bin(rivals[u] >> (u + 1))[:1:-1]
-        edges.extend(zip(repeat(u), compress(count(u + 1), map("1".__eq__, above))))
+        edges.extend(zip(repeat(u), compress(vertices[u + 1:], map("1".__eq__, above))))
     return CompetitionGraph(UGraph(n, tuple(edges)), tuple(isolated))
 
 
@@ -75,11 +79,12 @@ def jaco_competition_closed_form(n: int) -> CompetitionGraph:
         raise GraphError(f"closed form needs n >= 5, got {n!r}")
     jg = build_jaco(n)
     out_deg = jg.out_deg
-    # t >= 3 and h <= n - 1 with t < h keep both endpoints in v_3 .. v_{n-1}
-    edges = tuple(
-        (t, h) for t, h in jg.digraph.arcs
-        if t >= 3 and h < n and h != t + out_deg[t - 1]
-    )
+    arcs = jg.digraph.arcs
+    # t >= 3 and h <= n - 1 with t < h keep both endpoints in v_3 .. v_{n-1};
+    # the kept arc tuples are the edges themselves
+    edges = tuple(compress(arcs, [
+        t >= 3 and h < n and h != t + out_deg[t - 1] for t, h in arcs
+    ]))
     touched = set(chain.from_iterable(edges))
     isolated = tuple(v for v in range(1, n + 1) if v not in touched)
     return CompetitionGraph(UGraph(n, edges), isolated)

@@ -11,9 +11,12 @@ the order-(n + 1) graph.
 
 Out-neighbors of a tail are a consecutive run i+1 .. 2i - d^-(v_i), a
 fact the competition closed form relies on.  build_jaco emits each run
-with one extend over a range, and keeps the in-degrees as a difference
-array: a run i+1 .. top adds one at i+1 and removes it after top, and
-the running sum is d^-(v_i) by the time tail i reads it.
+with one extend over a slice of a single list of vertex ints, so all
+arcs at v_j hold the same int object: CPython caches ints only up to
+256, and one new int per arc would be about a quarter of J_3000's
+memory.  It keeps the in-degrees as a difference array: a run
+i+1 .. top adds one at i+1 and removes it after top, and the running
+sum is d^-(v_i) by the time tail i reads it.
 
 The Jaconian vertex v_i of J_n(1) is recovered from the extension step:
 going to order n + 1 adds exactly the arcs (v_{i+1}, v_{n+1}) through
@@ -63,14 +66,15 @@ def build_jaco(n: int, cap: int = JACO_ORDER_CAP) -> JacoGraph:
     step = [0] * (n + 2)  # difference array of the in-degrees
     dminus = [0] * (n + 1)
     dplus = [0] * (n + 1)
+    vertices = list(range(n + 1))  # one int per vertex, shared by all its arcs
     arcs: list[tuple[int, int]] = []
     running = 0
-    for i in range(1, n + 1):
+    for i in vertices[1:]:
         running += step[i]
         dminus[i] = running
         top = min(n, 2 * i - running)
         if top > i:
-            arcs.extend(zip(repeat(i), range(i + 1, top + 1)))
+            arcs.extend(zip(repeat(i), vertices[i + 1:top + 1]))
             step[i + 1] += 1
             step[top + 1] -= 1
             dplus[i] = top - i

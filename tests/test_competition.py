@@ -5,6 +5,7 @@ from conftest import oracle_competition_edges, oracle_isolated
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grogweb import competition
 from grogweb.competition import (
     check_theorem_1_1,
     competition_graph,
@@ -75,6 +76,10 @@ class TestCompetitionGraph:
         assert direct.ugraph.edges == tuple(sorted(oracle_competition_edges(d)))
         assert direct.isolated == oracle_isolated(d)
 
+    def test_edges_share_one_int_per_vertex(self):
+        edges = competition_graph(build_jaco(600).digraph).ugraph.edges
+        assert len({id(v) for e in edges for v in e}) <= 600
+
 
 class TestClosedForm:
     def test_n5(self):
@@ -89,6 +94,18 @@ class TestClosedForm:
 
     def test_n7_equals_direct(self):
         assert jaco_competition_closed_form(7) == competition_graph(build_jaco(7).digraph)
+
+    def test_edges_are_the_jaco_arc_tuples(self, monkeypatch):
+        built = []
+
+        def spy(n):
+            built.append(build_jaco(n))
+            return built[-1]
+
+        monkeypatch.setattr(competition, "build_jaco", spy)
+        edges = jaco_competition_closed_form(300).ugraph.edges
+        arc_ids = {id(arc) for arc in built[0].digraph.arcs}
+        assert edges and all(id(e) in arc_ids for e in edges)
 
     def test_domain(self):
         with pytest.raises(GraphError):

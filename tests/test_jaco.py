@@ -36,6 +36,12 @@ class TestBuildJaco:
             jg = build_jaco(n)
             assert (jg.digraph.arcs, jg.in_deg, jg.out_deg, jg.jaconian) == oracle_jaco(n), n
 
+    def test_arcs_share_one_int_per_vertex(self):
+        # ints above 256 are not cached; one object per vertex keeps the
+        # arc tuples the only per-arc allocation
+        arcs = build_jaco(600).digraph.arcs
+        assert len({id(v) for arc in arcs for v in arc}) <= 600
+
     def test_degree_bound(self):
         for n in range(1, 61):
             jg = build_jaco(n)
