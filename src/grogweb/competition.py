@@ -18,7 +18,8 @@ the induced range, and re-attach v_1, v_2, v_n as isolated vertices.
 It uses no bitsets: Jaco arcs point upward and arrive sorted by (tail,
 head), so filtering them yields the sorted edge tuple directly, and the
 kept arc tuples serve as the edge tuples.
-check_theorem_1_1 compares the two routes edge for edge.
+check_theorem_1_1 compares the two routes edge for edge, on one J_n per
+order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, repeat
 
 from .graphs import Digraph, GraphError, UGraph, ugraph_to_dot, ugraph_to_json
-from .jaco import build_jaco
+from .jaco import JacoGraph, build_jaco
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,12 @@ def jaco_competition_closed_form(n: int) -> CompetitionGraph:
     """
     if type(n) is not int or n < 5:
         raise GraphError(f"closed form needs n >= 5, got {n!r}")
-    jg = build_jaco(n)
+    return _closed_form(build_jaco(n))
+
+
+def _closed_form(jg: JacoGraph) -> CompetitionGraph:
+    """The closed form read off an already built J_n(1), n >= 5."""
+    n = jg.n
     out_deg = jg.out_deg
     arcs = jg.digraph.arcs
     # t >= 3 and h <= n - 1 with t < h keep both endpoints in v_3 .. v_{n-1};
@@ -113,8 +119,9 @@ def check_theorem_1_1(n_max: int) -> TheoremCheck:
         raise GraphError(f"theorem domain starts at n = 5, got n_max {n_max!r}")
     results = []
     for n in range(5, n_max + 1):
-        closed = jaco_competition_closed_form(n)
-        direct = competition_graph(build_jaco(n).digraph)
+        jg = build_jaco(n)
+        closed = _closed_form(jg)
+        direct = competition_graph(jg.digraph)
         entry: dict = {"n": n, "equal": closed == direct}
         if not entry["equal"]:
             ce, de = set(closed.ugraph.edges), set(direct.ugraph.edges)

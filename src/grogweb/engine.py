@@ -17,12 +17,15 @@ Two structural facts drive the implementation.  First, each consumed arc
 lowers the total population by exactly 2, and a vertex's population is
 its label minus the number of consumed arcs incident to it; hence the
 final state depends only on WHICH arcs were consumed, never on the
-order, and residual = n(n+1)/2 - 2 * (arcs consumed).  Second, a legal
-batch of size L from one predator can always be replayed as L legal
-single predations (the prey are distinct heads), so searching over
-single-arc moves loses nothing.  The exact solver therefore memoizes the
-maximum number of further predations per remaining-arc bitmask instead
-of exploring move sequences.
+order, and residual = n(n+1)/2 - 2 * (arcs consumed).  Second, a set of
+arcs can be consumed, in any order and one arc per batch, exactly when
+every vertex v meets at most v of them: populations only fall, so each
+arc's endpoints are still positive when it is played.  The largest such
+set is a maximum simple b-matching with b(v) = min(v, deg v), which the
+exact solver finds in polynomial time by reducing it to an ordinary
+maximum matching (the vertex-and-edge gadget of Tutte and Shiloach) and
+running Edmonds' blossom search on it.  The greedy counter still walks
+remaining-arc bitmasks, because greedy counts depend on the orientation.
 """
 
 from __future__ import annotations
@@ -199,10 +202,15 @@ def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> Ru
     )
 
 
-def _arc_tables(web: Web, cap: int):
+def _capped_arcs(web: Web, cap: int) -> tuple[tuple[int, int], ...]:
     arcs = web.digraph.arcs
     if len(arcs) > cap:
         raise CapExceeded(f"{len(arcs)} arcs exceed the solver cap {cap}")
+    return arcs
+
+
+def _arc_tables(web: Web, cap: int):
+    arcs = _capped_arcs(web, cap)
     inc = [0] * (web.n + 1)
     for k, (t, h) in enumerate(arcs):
         inc[t] |= 1 << k
@@ -210,74 +218,195 @@ def _arc_tables(web: Web, cap: int):
     return arcs, inc
 
 
-def solve_exact(web: Web, cap: int = SOLVER_ARC_CAP) -> SolveResult:
-    """Exact grog number by memoized search over remaining-arc subsets.
+def _blossom_base(base, parent, mate, a: int, b: int) -> int:
+    """Base of the innermost blossom holding the outer vertices a and b."""
+    seen = set()
+    while True:
+        a = base[a]
+        seen.add(a)
+        if mate[a] == -1:
+            break
+        a = parent[mate[a]]
+    while True:
+        b = base[b]
+        if b in seen:
+            return b
+        b = parent[mate[b]]
 
-    The value of a state is the maximum number of further single
-    predations; grog = total population - 2 * value(initial).  The
-    witness strategy is rebuilt with a deterministic tie-break: at every
-    step the lexicographically smallest optimal (predator, prey) arc.
-    Arcs are already sorted, so ascending arc index is that order.
+
+def _mark_blossom(base, parent, mate, blossom, v: int, top: int, child: int) -> None:
+    """Flag the bases on the tree path v .. top and link it back to child."""
+    while base[v] != top:
+        blossom[base[v]] = blossom[base[mate[v]]] = True
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]
+
+
+def _augment(adj, mate, dead, root: int) -> bool:
+    """One augmenting-path search from the free vertex `root`.
+
+    Edmonds' blossom search, breadth first, contracting blossoms by
+    relabelling their base; vertices flagged in `dead` are not part of
+    the graph.  Flips the path and returns True when one is found.
     """
-    arcs, inc = _arc_tables(web, cap)
-    eps = len(arcs)
-    full = (1 << eps) - 1
-    tails = [a[0] for a in arcs]
-    heads = [a[1] for a in arcs]
-    memo: dict[int, int] = {}
+    size = len(mate)
+    parent = [-1] * size
+    base = list(range(size))
+    queued = [False] * size
+    queued[root] = True
+    queue = [root]
+    for v in queue:
+        for w in adj[v]:
+            if dead[w] or base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
+                top = _blossom_base(base, parent, mate, v, w)
+                blossom = [False] * size
+                _mark_blossom(base, parent, mate, blossom, v, top, w)
+                _mark_blossom(base, parent, mate, blossom, w, top, v)
+                for i in range(size):
+                    if blossom[base[i]]:
+                        base[i] = top
+                        if not queued[i]:
+                            queued[i] = True
+                            queue.append(i)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] == -1:
+                    while w != -1:
+                        u = parent[w]
+                        after = mate[u]
+                        mate[w] = u
+                        mate[u] = w
+                        w = after
+                    return True
+                queued[mate[w]] = True
+                queue.append(mate[w])
+    return False
 
-    def best(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        used = full ^ mask
-        top = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            k = low.bit_length() - 1
-            t = tails[k]
-            h = heads[k]
-            if (
-                t - (used & inc[t]).bit_count() >= 1
-                and h - (used & inc[h]).bit_count() >= 1
-            ):
-                value = 1 + best(mask ^ low)
-                if value > top:
-                    top = value
-        memo[mask] = top
-        return top
 
-    max_pred = best(full)
+def _free_copy_first(copies, mate, dead) -> int | None:
+    """A live copy of one web vertex, free ones first; None if none is left."""
+    found = None
+    for c in copies:
+        if not dead[c]:
+            if mate[c] == -1:
+                return c
+            if found is None:
+                found = c
+    return found
+
+
+def solve_exact(web: Web, cap: int = SOLVER_ARC_CAP) -> SolveResult:
+    """Exact grog number as a maximum b-matching with b(v) = min(v, deg v).
+
+    The gadget graph has, for every web vertex v, b(v) copies and, for
+    arc k = (t, h), two edge-vertices 2k and 2k + 1, joined to each other
+    and to every copy of t and of h respectively.  A matching that covers
+    every edge-vertex uses arc k when both of its edge-vertices are
+    matched to copies, so max_predations is the maximum matching size
+    minus the arc count, and grog = n(n+1)/2 - 2 * max_predations.  A
+    greedy pass in ascending arc order seeds the matching; Edmonds'
+    search then runs once from each free copy, since a copy with no
+    augmenting path never gains one through later augmentations.
+
+    The witness plays, one arc per batch, the lexicographically least
+    maximum b-matching in ascending arc order: at every step the smallest
+    remaining arc after which an optimal residual is still reachable.
+    Arcs are decided in ascending order against a maximum matching that
+    holds every arc taken so far.  An arc in that matching is taken at
+    once.  Any other arc is forced in: its edge-vertices and one copy of
+    each endpoint leave the graph, the arcs that held those copies lose
+    that end, and one augmenting path from an edge-vertex left free must
+    restore the maximum.  If none exists the arc is rejected and the
+    matching is put back.
+
+    `states_explored` counts the matchings examined: the greedy seed and
+    one more for each augmenting-path search.
+    """
+    arcs = _capped_arcs(web, cap)
+    n = web.n
+    deg = [0] * (n + 1)
+    for t, h in arcs:
+        deg[t] += 1
+        deg[h] += 1
+    size = 2 * len(arcs)
+    copies = []
+    for v in range(n + 1):
+        b = min(v, deg[v])
+        copies.append(range(size, size + b))
+        size += b
+    adj: list[list[int]] = [[] for _ in range(size)]
+    mate = [-1] * size
+    taken = [0] * (n + 1)
+    for k, (t, h) in enumerate(arcs):
+        et, eh = 2 * k, 2 * k + 1
+        adj[et].append(eh)
+        adj[eh].append(et)
+        for e, cs in ((et, copies[t]), (eh, copies[h])):
+            adj[e].extend(cs)
+            for c in cs:
+                adj[c].append(e)
+        if taken[t] < len(copies[t]) and taken[h] < len(copies[h]):
+            ct, ch = copies[t][taken[t]], copies[h][taken[h]]
+            taken[t] += 1
+            taken[h] += 1
+            mate[et], mate[ct], mate[eh], mate[ch] = ct, et, ch, eh
+        else:
+            mate[et], mate[eh] = eh, et
+
+    dead = bytearray(size)
+    examined = 1
+    for c in range(2 * len(arcs), size):
+        if mate[c] == -1:
+            examined += 1
+            _augment(adj, mate, dead, c)
+    max_pred = sum(mate[c] != -1 for c in range(2 * len(arcs), size)) // 2
 
     witness: list[PredationBatch] = []
-    mask = full
-    while best(mask) > 0:
-        target = best(mask) - 1
-        used = full ^ mask
-        for k in range(eps):
-            low = 1 << k
-            if not mask & low:
+    for k, (t, h) in enumerate(arcs):
+        et, eh = 2 * k, 2 * k + 1
+        if mate[et] != eh:
+            for x in (et, eh, mate[et], mate[eh]):
+                dead[x] = 1
+            witness.append(PredationBatch(t, (h,)))
+            continue
+        ct = _free_copy_first(copies[t], mate, dead)
+        ch = _free_copy_first(copies[h], mate, dead)
+        if ct is None or ch is None:
+            continue
+        # ct and ch leave with arc k, so the arcs holding them lose that
+        # end; what is left is at most one short of the new maximum, and
+        # any augmenting path starts at an edge-vertex freed here
+        freed = [(mate[c], c) for c in (ct, ch) if mate[c] != -1]
+        for x in (et, eh, ct, ch):
+            dead[x] = 1
+        for e, _ in freed:
+            mate[e] = -1
+        if len(freed) == 2:
+            for e, _ in freed:
+                examined += 1
+                if _augment(adj, mate, dead, e):
+                    break
+            else:
+                for e, c in freed:
+                    mate[e] = c
+                for x in (et, eh, ct, ch):
+                    dead[x] = 0
                 continue
-            t = tails[k]
-            h = heads[k]
-            if t - (used & inc[t]).bit_count() < 1:
-                continue
-            if h - (used & inc[h]).bit_count() < 1:
-                continue
-            if best(mask ^ low) == target:
-                witness.append(PredationBatch(t, (h,)))
-                mask ^= low
-                break
-        else:
-            raise RuntimeError("witness reconstruction lost the optimal line")
+        for e, _ in freed:
+            if mate[e] == -1:
+                # drop the arc that kept only its other end, freeing that copy
+                mate[mate[e ^ 1]] = -1
+                mate[e], mate[e ^ 1] = e ^ 1, e
+        witness.append(PredationBatch(t, (h,)))
 
     return SolveResult(
         grog=web.total_population - 2 * max_pred,
         witness=tuple(witness),
         max_predations=max_pred,
-        states_explored=len(memo),
+        states_explored=examined,
     )
 
 

@@ -1,9 +1,9 @@
 """Shared test data and independent oracles.
 
 The oracles deliberately avoid the implementation's search shortcuts:
-they explore full move sequences with no memoization and recompute
-structures from their defining conditions, so agreement with the library
-is meaningful.
+they explore full move sequences or arc subsets and recompute structures
+from their defining conditions, so agreement with the library is
+meaningful.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import itertools
 
 from grogweb.engine import (
     PredationBatch,
+    Strategy,
     Web,
     apply_batch,
     legal_predations,
@@ -55,6 +56,66 @@ def oracle_grog(web: Web) -> int:
 
     rec(frozenset(web.digraph.arcs), web.populations)
     return best[0]
+
+
+def oracle_solve(web: Web) -> tuple[int, Strategy]:
+    """(max predations, witness) by memoized search over remaining-arc
+    bitmasks, exponential in the arc count.
+
+    The value of a state is the maximum number of further single
+    predations.  The witness takes, at every step, the smallest legal
+    arc (arcs are sorted) that keeps that maximum reachable.
+    """
+    arcs = web.digraph.arcs
+    if len(arcs) > 16:
+        raise ValueError(f"{len(arcs)} arcs: the memo oracle stops at 16")
+    eps = len(arcs)
+    full = (1 << eps) - 1
+    inc = [0] * (web.n + 1)
+    for k, (t, h) in enumerate(arcs):
+        inc[t] |= 1 << k
+        inc[h] |= 1 << k
+    memo: dict[int, int] = {}
+
+    def legal(mask: int, k: int) -> bool:
+        used = full ^ mask
+        t, h = arcs[k]
+        return t - (used & inc[t]).bit_count() >= 1 and h - (used & inc[h]).bit_count() >= 1
+
+    def best(mask: int) -> int:
+        if mask not in memo:
+            memo[mask] = max(
+                (1 + best(mask ^ (1 << k))
+                 for k in range(eps) if mask >> k & 1 and legal(mask, k)),
+                default=0,
+            )
+        return memo[mask]
+
+    witness = []
+    mask = full
+    while best(mask):
+        k = next(
+            k for k in range(eps)
+            if mask >> k & 1 and legal(mask, k) and best(mask ^ (1 << k)) == best(mask) - 1
+        )
+        witness.append(PredationBatch(arcs[k][0], (arcs[k][1],)))
+        mask ^= 1 << k
+    return best(full), tuple(witness)
+
+
+def oracle_max_consumable(web: Web) -> int:
+    """Size of the largest arc subset in which every vertex v meets at
+    most v arcs, by brute force over the subsets, largest first."""
+    arcs = web.digraph.arcs
+    for size in range(len(arcs), 0, -1):
+        for subset in itertools.combinations(arcs, size):
+            meets = [0] * (web.n + 1)
+            for t, h in subset:
+                meets[t] += 1
+                meets[h] += 1
+            if all(meets[v] <= v for v in range(1, web.n + 1)):
+                return size
+    return 0
 
 
 def oracle_greedy(web: Web) -> tuple[int, int]:

@@ -4,10 +4,12 @@ import sys
 from collections import Counter
 
 import pytest
+from conftest import EXAMPLE1_WEBS, oracle_solve
 
 from grogweb import cli
-from grogweb.engine import enumerate_greedy, solve_exact
-from grogweb.graphs import digraph_to_json, ugraph_to_json
+from grogweb.engine import Web, enumerate_greedy, solve_exact, strategy_to_json
+from grogweb.graphs import digraph_to_json, make_digraph, ugraph_to_json
+from grogweb.jaco import build_jaco
 from grogweb.webs import (
     complete_graph,
     cycle_graph,
@@ -222,6 +224,35 @@ class TestEnumerateCommand:
         assert "webs enumerated: 12" in proc.stdout
         assert "g(G) = 2" in proc.stdout
         assert "min 2, max 2" in proc.stdout
+
+
+SOLVE_WEBS = [(f"example1-{i}", make_digraph(3, sorted(arcs))) for i, arcs, _ in EXAMPLE1_WEBS]
+SOLVE_WEBS.append(("J7", build_jaco(7).digraph))
+
+
+@pytest.mark.parametrize("name, digraph", SOLVE_WEBS, ids=[name for name, _ in SOLVE_WEBS])
+def test_solve_witness_matches_memo_oracle(capsys, tmp_path, name, digraph):
+    """`grog solve --witness` prints the memo search's value and witness."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(digraph_to_json(digraph)))
+    web = Web(digraph)
+    max_pred, witness = oracle_solve(web)
+    grog = web.total_population - 2 * max_pred
+    steps = ", ".join(f"({b.predator} -> {' '.join(map(str, sorted(b.prey)))})" for b in witness)
+
+    assert cli.main(["grog", "solve", str(path), "--witness"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("states explored: ")] == [
+        f"grog number: {grog}",
+        f"max predations: {max_pred}",
+        f"witness: {steps}",
+    ]
+    assert cli.main(["grog", "solve", str(path), "--witness", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == ["grog", "max_predations", "states_explored", "witness"]
+    assert (obj["grog"], obj["max_predations"], obj["witness"]) == (
+        grog, max_pred, strategy_to_json(witness)
+    )
 
 
 def per_web_enumerate_output(base, dedup: bool, fmt: str) -> str:

@@ -127,6 +127,17 @@ class TestTheoremCheck:
         with pytest.raises(GraphError):
             check_theorem_1_1(4)
 
+    def test_builds_each_order_once(self, monkeypatch):
+        built = []
+
+        def spy(n):
+            built.append(n)
+            return build_jaco(n)
+
+        monkeypatch.setattr(competition, "build_jaco", spy)
+        assert check_theorem_1_1(30).all_equal
+        assert built == list(range(5, 31))
+
     def test_extreme_vertices_isolated(self):
         for n in range(5, 41):
             c = competition_graph(build_jaco(n).digraph)

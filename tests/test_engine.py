@@ -1,8 +1,14 @@
 import random
 
 import pytest
-from conftest import EXAMPLE1_WEBS, oracle_greedy, oracle_grog
-from hypothesis import given, settings
+from conftest import (
+    EXAMPLE1_WEBS,
+    oracle_greedy,
+    oracle_grog,
+    oracle_max_consumable,
+    oracle_solve,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grogweb.claims import random_connected_web, random_maximal_strategy
@@ -184,6 +190,20 @@ class TestSolveExact:
         with pytest.raises(CapExceeded):
             solve_exact(Web(build_jaco(7).digraph), cap=5)
 
+    def test_jaco_far_past_the_memo_oracle(self):
+        # g(J_2) .. g(J_20); J_20 has 78 arcs, 2^78 remaining-arc states
+        expected = [1, 2, 4, 5, 7, 8, 10, 13, 15, 18, 22, 25, 29, 32, 36, 41, 45, 50, 54]
+        for n in range(2, 20):
+            i = build_jaco(n).jaconian
+            assert expected[n - 1] == expected[n - 2] + (2 * i - n) + 1, n  # prop-2.10
+        for n, g in zip(range(2, 21), expected):
+            w = Web(build_jaco(n).digraph)
+            r = solve_exact(w, cap=len(w.digraph.arcs))
+            assert r.grog == g, n
+            assert run_strategy(w, r.witness, require_exit=True).residual == g, n
+            if len(w.digraph.arcs) <= 16:
+                assert (r.max_predations, r.witness) == oracle_solve(w), n
+
 
 class TestEnumerateGreedy:
     def test_example1_counts_and_minima(self):
@@ -210,8 +230,8 @@ class TestEnumerateGreedy:
 
 
 @st.composite
-def random_webs(draw):
-    n = draw(st.integers(2, 5))
+def random_webs(draw, max_n=5, max_extra=3):
+    n = draw(st.integers(2, max_n))
     perm = draw(st.permutations(list(range(1, n + 1))))
     edges = set()
     for idx in range(1, n):
@@ -225,7 +245,10 @@ def random_webs(draw):
         if (u, v) not in edges
     ]
     if pool:
-        edges.update(draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)))
+        extra = draw(st.integers(0, min(max_extra, len(pool))))
+        edges.update(draw(st.lists(
+            st.sampled_from(pool), unique=True, min_size=extra, max_size=extra
+        )))
     bits = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
     arcs = tuple(sorted(
         (u, v) if keep else (v, u) for (u, v), keep in zip(sorted(edges), bits)
@@ -274,6 +297,25 @@ def test_batches_equal_their_serialization(w, seed):
 @settings(max_examples=60, deadline=None)
 def test_greedy_minimum_equals_exact(w):
     assert enumerate_greedy(w).min_residual == solve_exact(w).grog
+
+
+@given(random_webs(max_n=7, max_extra=8))
+@example(Web(Digraph(5, ((2, 1), (2, 3), (2, 4), (2, 5), (3, 1), (4, 1), (4, 3), (4, 5),
+                         (5, 1), (5, 3)))))
+@example(Web(Digraph(6, ((2, 1), (2, 3), (2, 4), (3, 1), (3, 4), (3, 6), (4, 1), (5, 2),
+                         (6, 4)))))
+@settings(max_examples=100, deadline=None)
+def test_solve_exact_equals_memo_and_subset_oracles(w):
+    """On connected webs of up to 14 arcs: value and exact witness against
+    the bitmask memo search and, up to 12 arcs, the value against brute
+    force over arc subsets."""
+    r = solve_exact(w)
+    max_pred, witness = oracle_solve(w)
+    assert (r.grog, r.max_predations, r.witness) == (
+        w.total_population - 2 * max_pred, max_pred, witness
+    )
+    if len(w.digraph.arcs) <= 12:
+        assert r.max_predations == oracle_max_consumable(w)
 
 
 def test_strategy_json_roundtrip():
