@@ -1,12 +1,18 @@
 """Verification harness: machine-check the catalog of structural claims.
 
-Every claim has a stable id, a mode and a checker.  Assert-mode claims
-can fail the run; report-only claims record observed values and never
-fail, which is how per-strategy statements with under-specified
-"minimal deviation" adaptations are handled: the harness documents the
-measured grog-level numbers instead of asserting an interpretation of
-them.  All sampling is driven by a seed recorded in the report, and the
-report is byte-reproducible for a fixed seed and caps.
+`CLAIM_INFO` is the catalog: it maps each claim id, in report order, to
+its mode, its statement and the `HarnessConfig` field that `--n-max`
+sets for it (None when the claim has no range).  Assert-mode claims can
+fail the run; report-only claims record observed values and never fail,
+which is how per-strategy statements with under-specified "minimal
+deviation" adaptations are handled: the harness documents the measured
+grog-level numbers instead of asserting an interpretation of them.
+
+`_GROUPS` lists the claims that share one computation, in report order,
+each with the runner that checks them all from a `HarnessConfig`; a
+group runs once when any of its claims is requested.  All sampling is
+driven by a seed recorded in the report, and the report is
+byte-reproducible for a fixed seed and caps.
 """
 
 from __future__ import annotations
@@ -46,44 +52,50 @@ from .webs import (
 ASSERT = "assert"
 REPORT_ONLY = "report-only"
 
-# Fixed report order; one entry per checked statement.
-CLAIM_ORDER = [
-    "thm-1.1",
-    "lemma-2.1",
-    "lemma-2.2",
-    "lemma-2.3",
-    "prop-2.4",
-    "cor-2.5",
-    "thm-2.6",
-    "prop-2.7",
-    "cor-2.8",
-    "lemma-2.9",
-    "prop-2.10",
-    "cor-2.11",
-    "obs-1",
-    "obs-2",
-    "def-2.2-equivalence",
-    "web-count",
-]
-
+# claim id -> (mode, statement, HarnessConfig field set by --n-max or None)
 CLAIM_INFO = {
-    "thm-1.1": (ASSERT, "closed-form competition graph of J_n(1) equals the direct computation"),
-    "lemma-2.1": (ASSERT, "every terminal state has a zero and a positive population"),
-    "lemma-2.2": (ASSERT, "residual parity equals the parity of the initial total population"),
-    "lemma-2.3": (ASSERT, "predation count equals half of (initial total minus residual)"),
-    "prop-2.4": (REPORT_ONLY, "path extension deltas (per-strategy statement, recorded only)"),
-    "cor-2.5": (ASSERT, "g(P_{n+1}) = g(P_n) + (n - 1) by brute force"),
-    "thm-2.6": (ASSERT, "every base graph admits two webs with distinct grog numbers"),
-    "prop-2.7": (REPORT_ONLY, "cycle extension deltas g(C_{n+1}) - g(C_n), recorded only"),
-    "cor-2.8": (REPORT_ONLY, "g(C_n) - g(P_n), recorded only"),
-    "lemma-2.9": (ASSERT, "2i - n >= 0 for the Jaconian vertex v_i of J_n(1)"),
-    "prop-2.10": (ASSERT, "g(J_{n+1}(1)) = g(J_n(1)) + (2i - n) + 1"),
-    "cor-2.11": (ASSERT, "g(J_n(1)) is strictly increasing in n"),
-    "obs-1": (ASSERT, "every run terminates within one predation event per arc"),
-    "obs-2": (ASSERT, "replaying a strategy reproduces the identical final state"),
-    "def-2.2-equivalence": (ASSERT, "greedy minimum equals the exact grog number"),
-    "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2"),
+    "thm-1.1": (ASSERT, "closed-form competition graph of J_n(1) equals the direct computation",
+                "n_max_thm11"),
+    "lemma-2.1": (ASSERT, "every terminal state has a zero and a positive population", None),
+    "lemma-2.2": (ASSERT, "residual parity equals the parity of the initial total population",
+                  None),
+    "lemma-2.3": (ASSERT, "predation count equals half of (initial total minus residual)", None),
+    "prop-2.4": (REPORT_ONLY, "path extension deltas (per-strategy statement, recorded only)",
+                 "n_max_path"),
+    "cor-2.5": (ASSERT, "g(P_{n+1}) = g(P_n) + (n - 1) by brute force", "n_max_path"),
+    "thm-2.6": (ASSERT, "every base graph admits two webs with distinct grog numbers", None),
+    "prop-2.7": (REPORT_ONLY, "cycle extension deltas g(C_{n+1}) - g(C_n), recorded only",
+                 "n_max_cycle"),
+    "cor-2.8": (REPORT_ONLY, "g(C_n) - g(P_n), recorded only", "n_max_cycle"),
+    "lemma-2.9": (ASSERT, "2i - n >= 0 for the Jaconian vertex v_i of J_n(1)", "n_max_lemma29"),
+    "prop-2.10": (ASSERT, "g(J_{n+1}(1)) = g(J_n(1)) + (2i - n) + 1", "n_max_jaco"),
+    "cor-2.11": (ASSERT, "g(J_n(1)) is strictly increasing in n", "n_max_jaco"),
+    "obs-1": (ASSERT, "every run terminates within one predation event per arc", None),
+    "obs-2": (ASSERT, "replaying a strategy reproduces the identical final state", None),
+    "def-2.2-equivalence": (ASSERT, "greedy minimum equals the exact grog number", None),
+    "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2", None),
 }
+
+# (claim ids, runner(config) -> their reports), in report order.
+_GROUPS = (
+    (("thm-1.1",), lambda c: [check_competition_closed_form(c.n_max_thm11)]),
+    (("lemma-2.1",), lambda c: [check_exit_lemma(corpus_webs(c), c.runs_per_web, c.seed + 1)]),
+    (("lemma-2.2", "lemma-2.3"),
+     lambda c: check_parity_and_arc_count(corpus_webs(c), c.runs_per_web, c.seed + 2)),
+    (("prop-2.4",), lambda c: [check_path_extension_report(c.n_max_path, c.arc_cap)]),
+    (("cor-2.5",), lambda c: [check_path_recursion(c.n_max_path, c.arc_cap)]),
+    (("thm-2.6",), lambda c: [check_orientation_divergence(arc_cap=c.arc_cap)]),
+    (("prop-2.7", "cor-2.8"), lambda c: check_cycle_relations(c.n_max_cycle, c.arc_cap)),
+    (("lemma-2.9", "prop-2.10", "cor-2.11"),
+     lambda c: check_jaco_recursion(c.n_max_jaco, c.arc_cap, c.n_max_lemma29)),
+    (("obs-1", "obs-2"),
+     lambda c: check_termination_and_determinism(corpus_webs(c), c.runs_per_web, c.seed + 3)),
+    (("def-2.2-equivalence",),
+     lambda c: [check_greedy_equivalence(_corpus(c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
+    (("web-count",), lambda c: [check_web_count()]),
+)
+
+CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
 
 
 @dataclass
@@ -121,8 +133,7 @@ class ClaimReport:
 
 
 def _report(claim_id: str, status: str, instances: int, failures: list, values: dict) -> ClaimReport:
-    mode, _ = CLAIM_INFO[claim_id]
-    return ClaimReport(claim_id, mode, status, instances, failures, values)
+    return ClaimReport(claim_id, CLAIM_INFO[claim_id][0], status, instances, failures, values)
 
 
 def _assert_status(failures: list) -> str:
@@ -171,16 +182,17 @@ def random_connected_web(rng: random.Random, max_n: int = 7, max_arcs: int = 10)
     return Web(Digraph(n, arcs))
 
 
+def _corpus(seed: int, count: int) -> list[Web]:
+    """Named small-base webs plus `count` random connected webs drawn from `seed`."""
+    webs = [web for _, base in _named_bases() for web in enumerate_webs(base, dedup=True)]
+    rng = random.Random(seed)
+    webs.extend(random_connected_web(rng) for _ in range(count))
+    return webs
+
+
 def corpus_webs(config: HarnessConfig) -> list[Web]:
     """Named small-base webs plus seeded random connected webs."""
-    webs: list[Web] = []
-    for _, base in _named_bases():
-        webs.extend(enumerate_webs(base, dedup=True))
-    rng = random.Random(config.seed)
-    webs.extend(
-        random_connected_web(rng) for _ in range(config.random_webs)
-    )
-    return webs
+    return _corpus(config.seed, config.random_webs)
 
 
 def random_maximal_strategy(web: Web, rng: random.Random) -> Strategy:
@@ -200,64 +212,66 @@ def random_maximal_strategy(web: Web, rng: random.Random) -> Strategy:
         batches.append(batch)
 
 
+def _random_runs(corpus: list[Web], runs: int, seed: int):
+    """Yield (web, strategy, result) for `runs` random maximal strategies per web.
+
+    One rng drawn from `seed` serves every run, web by web in corpus order.
+    """
+    rng = random.Random(seed)
+    for web in corpus:
+        for _ in range(runs):
+            strategy = random_maximal_strategy(web, rng)
+            yield web, strategy, run_strategy(web, strategy)
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
 def check_exit_lemma(corpus: list[Web], runs: int, seed: int) -> ClaimReport:
     """lemma-2.1: terminal states mix zero and positive populations (n >= 2)."""
-    rng = random.Random(seed)
+    playable = [web for web in corpus if web.n >= 2]
     failures = []
-    instances = 0
-    skipped = 0
-    for web in corpus:
-        if web.n < 2:
-            skipped += 1
-            continue
-        for _ in range(runs):
-            strategy = random_maximal_strategy(web, rng)
-            result = run_strategy(web, strategy)
-            instances += 1
-            pops = result.final_state.pop
-            if not (any(p == 0 for p in pops) and any(p > 0 for p in pops)):
-                failures.append({
-                    "web": _web_json(web),
-                    "strategy": strategy_to_json(strategy),
-                    "final_population": list(pops),
-                })
-    values = {"webs": len(corpus), "runs_per_web": runs, "skipped_webs": skipped}
-    return _report("lemma-2.1", _assert_status(failures), instances, failures, values)
+    for web, strategy, result in _random_runs(playable, runs, seed):
+        pops = result.final_state.pop
+        if not (any(p == 0 for p in pops) and any(p > 0 for p in pops)):
+            failures.append({
+                "web": _web_json(web),
+                "strategy": strategy_to_json(strategy),
+                "final_population": list(pops),
+            })
+    values = {
+        "webs": len(corpus),
+        "runs_per_web": runs,
+        "skipped_webs": len(corpus) - len(playable),
+    }
+    return _report("lemma-2.1", _assert_status(failures), len(playable) * runs, failures, values)
 
 
 def check_parity_and_arc_count(
     corpus: list[Web], runs: int, seed: int
 ) -> tuple[ClaimReport, ClaimReport]:
     """lemma-2.2 and lemma-2.3 over shared random maximal runs."""
-    rng = random.Random(seed)
     parity_failures = []
     count_failures = []
-    instances = 0
-    for web in corpus:
+    for web, strategy, result in _random_runs(corpus, runs, seed):
         total = web.total_population
-        for _ in range(runs):
-            strategy = random_maximal_strategy(web, rng)
-            result = run_strategy(web, strategy)
-            instances += 1
-            if result.residual % 2 != total % 2:
-                parity_failures.append({
-                    "web": _web_json(web),
-                    "strategy": strategy_to_json(strategy),
-                    "residual": result.residual,
-                    "initial_total": total,
-                })
-            if 2 * result.predation_count != total - result.residual:
-                count_failures.append({
-                    "web": _web_json(web),
-                    "strategy": strategy_to_json(strategy),
-                    "predation_count": result.predation_count,
-                    "residual": result.residual,
-                    "initial_total": total,
-                })
+        if result.residual % 2 != total % 2:
+            parity_failures.append({
+                "web": _web_json(web),
+                "strategy": strategy_to_json(strategy),
+                "residual": result.residual,
+                "initial_total": total,
+            })
+        if 2 * result.predation_count != total - result.residual:
+            count_failures.append({
+                "web": _web_json(web),
+                "strategy": strategy_to_json(strategy),
+                "predation_count": result.predation_count,
+                "residual": result.residual,
+                "initial_total": total,
+            })
+    instances = len(corpus) * runs
     values = {"webs": len(corpus), "runs_per_web": runs}
     return (
         _report("lemma-2.2", _assert_status(parity_failures), instances, parity_failures, values),
@@ -488,35 +502,30 @@ def check_termination_and_determinism(
     corpus: list[Web], runs: int, seed: int
 ) -> tuple[ClaimReport, ClaimReport]:
     """obs-1 (termination within eps events) and obs-2 (replay determinism)."""
-    rng = random.Random(seed)
     term_failures = []
     det_failures = []
-    instances = 0
-    for web in corpus:
+    for web, strategy, first in _random_runs(corpus, runs, seed):
         eps = len(web.digraph.arcs)
-        for _ in range(runs):
-            strategy = random_maximal_strategy(web, rng)
-            first = run_strategy(web, strategy)
-            instances += 1
-            if first.predation_count > eps or legal_predations(first.final_state):
-                term_failures.append({
-                    "web": _web_json(web),
-                    "strategy": strategy_to_json(strategy),
-                    "predation_count": first.predation_count,
-                    "arcs": eps,
-                })
-            second = run_strategy(web, strategy)
-            if (
-                second.residual != first.residual
-                or second.used_arcs != first.used_arcs
-                or second.final_state.pop != first.final_state.pop
-            ):
-                det_failures.append({
-                    "web": _web_json(web),
-                    "strategy": strategy_to_json(strategy),
-                    "first_residual": first.residual,
-                    "second_residual": second.residual,
-                })
+        if first.predation_count > eps or legal_predations(first.final_state):
+            term_failures.append({
+                "web": _web_json(web),
+                "strategy": strategy_to_json(strategy),
+                "predation_count": first.predation_count,
+                "arcs": eps,
+            })
+        second = run_strategy(web, strategy)
+        if (
+            second.residual != first.residual
+            or second.used_arcs != first.used_arcs
+            or second.final_state.pop != first.final_state.pop
+        ):
+            det_failures.append({
+                "web": _web_json(web),
+                "strategy": strategy_to_json(strategy),
+                "first_residual": first.residual,
+                "second_residual": second.residual,
+            })
+    instances = len(corpus) * runs
     values = {"webs": len(corpus), "runs_per_web": runs}
     return (
         _report("obs-1", _assert_status(term_failures), instances, term_failures, values),
@@ -561,71 +570,6 @@ def check_competition_closed_form(n_max: int) -> ClaimReport:
 # orchestration
 # ---------------------------------------------------------------------------
 
-def _groups(config: HarnessConfig):
-    def thm11():
-        return [check_competition_closed_form(config.n_max_thm11)]
-
-    def exit_lemma():
-        return [check_exit_lemma(corpus_webs(config), config.runs_per_web, config.seed + 1)]
-
-    def parity():
-        return list(
-            check_parity_and_arc_count(corpus_webs(config), config.runs_per_web, config.seed + 2)
-        )
-
-    def prop24():
-        return [check_path_extension_report(config.n_max_path, config.arc_cap)]
-
-    def path():
-        return [check_path_recursion(config.n_max_path, config.arc_cap)]
-
-    def divergence():
-        return [check_orientation_divergence(arc_cap=config.arc_cap)]
-
-    def cycles():
-        return list(check_cycle_relations(config.n_max_cycle, config.arc_cap))
-
-    def jaco():
-        return list(
-            check_jaco_recursion(config.n_max_jaco, config.arc_cap, config.n_max_lemma29)
-        )
-
-    def observations():
-        return list(
-            check_termination_and_determinism(
-                corpus_webs(config), config.runs_per_web, config.seed + 3
-            )
-        )
-
-    def greedy_equiv():
-        corpus = []
-        for _, base in _named_bases():
-            corpus.extend(enumerate_webs(base, dedup=True))
-        rng = random.Random(config.seed + 4)
-        corpus.extend(
-            random_connected_web(rng, max_arcs=10)
-            for _ in range(config.random_greedy_webs)
-        )
-        return [check_greedy_equivalence(corpus, config.arc_cap)]
-
-    def web_count():
-        return [check_web_count()]
-
-    return [
-        (["thm-1.1"], thm11),
-        (["lemma-2.1"], exit_lemma),
-        (["lemma-2.2", "lemma-2.3"], parity),
-        (["prop-2.4"], prop24),
-        (["cor-2.5"], path),
-        (["thm-2.6"], divergence),
-        (["prop-2.7", "cor-2.8"], cycles),
-        (["lemma-2.9", "prop-2.10", "cor-2.11"], jaco),
-        (["obs-1", "obs-2"], observations),
-        (["def-2.2-equivalence"], greedy_equiv),
-        (["web-count"], web_count),
-    ]
-
-
 def _config_json(config: HarnessConfig) -> dict:
     return {
         "thm_1_1_n_max": config.n_max_thm11,
@@ -669,11 +613,11 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
     reports: list[ClaimReport] = []
-    for ids, runner in _groups(config):
+    for ids, runner in _GROUPS:
         if not wanted.intersection(ids):
             continue
         try:
-            group_reports = runner()
+            group_reports = runner(config)
         except GraphError as exc:
             group_reports = [
                 ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": str(exc)})

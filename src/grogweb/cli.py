@@ -43,7 +43,6 @@ from .graphs import (
 )
 from .jaco import build_jaco, jaco_to_json
 from .webs import (
-    WEB_EDGE_CAP,
     WEB_N_CAP,
     complete_graph,
     cycle_graph,
@@ -194,12 +193,10 @@ def cmd_enumerate(args) -> int:
         base = _FAMILIES[args.graph](args.n)
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
-    webs = list(enumerate_webs(base, dedup=args.dedup, n_cap=args.max_n, edge_cap=WEB_EDGE_CAP))
+    webs = list(enumerate_webs(base, dedup=args.dedup, n_cap=args.max_n))
     formula = web_count_formula(base.n, len(base.edges))
     # every orientation of a labelled edge set shares its grog number
-    solved = solve_labellings(
-        base, arc_cap=args.max_arcs, n_cap=args.max_n, edge_cap=WEB_EDGE_CAP
-    )
+    solved = solve_labellings(base, arc_cap=args.max_arcs, n_cap=args.max_n)
     grogs = [solved[underlying(w.digraph).edges][1].grog for w in webs]
     grog = min(grogs)
     witness = webs[grogs.index(grog)]
@@ -256,18 +253,6 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-_N_MAX_FIELDS = {
-    "thm-1.1": "n_max_thm11",
-    "prop-2.4": "n_max_path",
-    "cor-2.5": "n_max_path",
-    "prop-2.7": "n_max_cycle",
-    "cor-2.8": "n_max_cycle",
-    "lemma-2.9": "n_max_lemma29",
-    "prop-2.10": "n_max_jaco",
-    "cor-2.11": "n_max_jaco",
-}
-
-
 def _verify_summary(report: dict) -> str:
     lines = [f"{'claim':<22}{'mode':<14}{'status':<10}{'instances':>9}"]
     for claim in report["claims"]:
@@ -284,25 +269,18 @@ def _verify_summary(report: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.claim and args.claim not in claims.CLAIM_INFO:
+        print(f"error: unknown claim id {args.claim!r}", file=sys.stderr)
+        print(f"known ids: {', '.join(claims.CLAIM_ORDER)}", file=sys.stderr)
+        return EXIT_USAGE
+    ids = [args.claim] if args.claim else claims.CLAIM_ORDER
     config = claims.HarnessConfig(seed=args.seed, arc_cap=args.max_arcs)
-    if args.claim:
-        if args.claim not in claims.CLAIM_INFO:
-            print(f"error: unknown claim id {args.claim!r}", file=sys.stderr)
-            print(f"known ids: {', '.join(claims.CLAIM_ORDER)}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.n_max is not None:
-            field = _N_MAX_FIELDS.get(args.claim)
+    if args.n_max is not None:
+        for cid in ids:
+            field = claims.CLAIM_INFO[cid][2]
             if field:
                 setattr(config, field, args.n_max)
-        report = claims.run_claims([args.claim], config)
-    else:
-        if args.n_max is not None:
-            config.n_max_thm11 = args.n_max
-            config.n_max_path = args.n_max
-            config.n_max_cycle = args.n_max
-            config.n_max_jaco = args.n_max
-            config.n_max_lemma29 = args.n_max
-        report = claims.run_all(config)
+    report = claims.run_claims(ids, config)
 
     json_text = _json_text(report)
     if args.out:

@@ -31,6 +31,7 @@ from typing import Iterator
 
 from .engine import SOLVER_ARC_CAP, SolveResult, Strategy, Web, solve_exact
 from .graphs import (
+    INDEXING_CAP,
     CapExceeded,
     Digraph,
     GraphError,
@@ -40,7 +41,7 @@ from .graphs import (
     make_ugraph,
 )
 
-WEB_N_CAP = 8
+WEB_N_CAP = INDEXING_CAP
 WEB_EDGE_CAP = 12
 INT64_MAX = 2**63 - 1
 
@@ -88,29 +89,23 @@ def web_count_formula(n: int, eps: int) -> int:
     return value
 
 
-def _check_base(g: UGraph, n_cap: int, edge_cap: int) -> None:
+def _check_base(g: UGraph, n_cap: int) -> None:
     if not is_connected(g):
         raise GraphError("base graph must be connected")
     if g.n > n_cap:
         raise CapExceeded(f"n={g.n} exceeds the web enumeration cap {n_cap}")
-    if len(g.edges) > edge_cap:
-        raise CapExceeded(f"{len(g.edges)} edges exceed the web enumeration cap {edge_cap}")
+    if len(g.edges) > WEB_EDGE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceed the web enumeration cap {WEB_EDGE_CAP}")
 
 
-def enumerate_webs(
-    g: UGraph,
-    dedup: bool = False,
-    *,
-    n_cap: int = WEB_N_CAP,
-    edge_cap: int = WEB_EDGE_CAP,
-) -> Iterator[Web]:
+def enumerate_webs(g: UGraph, dedup: bool = False, *, n_cap: int = WEB_N_CAP) -> Iterator[Web]:
     """Stream the webs of a connected base graph.
 
     Outer loop: indexings in lexicographic order.  Inner loop: direction
     bits in binary counting order applied to the sorted base edges.
     With dedup, each arc set is emitted once, at first occurrence.
     """
-    _check_base(g, n_cap, edge_cap)
+    _check_base(g, n_cap)
     eps = len(g.edges)
 
     def gen() -> Iterator[Web]:
@@ -152,7 +147,6 @@ def solve_labellings(
     *,
     arc_cap: int = SOLVER_ARC_CAP,
     n_cap: int = WEB_N_CAP,
-    edge_cap: int = WEB_EDGE_CAP,
 ) -> dict[LabelledEdges, tuple[Web, SolveResult]]:
     """One exact solve per distinct labelled edge set of g.
 
@@ -163,7 +157,7 @@ def solve_labellings(
     the same grog number, and among the deduplicated webs each edge set
     accounts for exactly 2^eps of them.
     """
-    _check_base(g, n_cap, edge_cap)
+    _check_base(g, n_cap)
     solved: dict[LabelledEdges, tuple[Web, SolveResult]] = {}
     for labels in indexings(g.n, cap=n_cap):
         arcs = [(labels[p - 1], labels[q - 1]) for p, q in g.edges]
@@ -183,13 +177,7 @@ class GraphGrogResult:
     strategy: Strategy
 
 
-def grog_number(
-    g: UGraph,
-    *,
-    arc_cap: int = SOLVER_ARC_CAP,
-    n_cap: int = WEB_N_CAP,
-    edge_cap: int = WEB_EDGE_CAP,
-) -> GraphGrogResult:
+def grog_number(g: UGraph, *, arc_cap: int = SOLVER_ARC_CAP) -> GraphGrogResult:
     """Minimum grog number over every indexing and orientation of g.
 
     The witness is the first optimal web in stream order, with or
@@ -197,20 +185,14 @@ def grog_number(
     edge set attains the minimum, since every earlier indexing has a
     larger value in all of its orientations.
     """
-    solved = solve_labellings(g, arc_cap=arc_cap, n_cap=n_cap, edge_cap=edge_cap)
+    solved = solve_labellings(g, arc_cap=arc_cap)
     web, best = min(solved.values(), key=lambda pair: pair[1].grog)
     return GraphGrogResult(best.grog, web, best.witness)
 
 
-def residual_distribution(
-    g: UGraph,
-    *,
-    arc_cap: int = SOLVER_ARC_CAP,
-    n_cap: int = WEB_N_CAP,
-    edge_cap: int = WEB_EDGE_CAP,
-) -> dict[int, int]:
+def residual_distribution(g: UGraph, *, arc_cap: int = SOLVER_ARC_CAP) -> dict[int, int]:
     """Histogram grog number -> web count over the deduplicated webs."""
-    solved = solve_labellings(g, arc_cap=arc_cap, n_cap=n_cap, edge_cap=edge_cap)
+    solved = solve_labellings(g, arc_cap=arc_cap)
     counts = Counter(result.grog for _, result in solved.values())
     orientations = 1 << len(g.edges)
     return {grog: count * orientations for grog, count in sorted(counts.items())}

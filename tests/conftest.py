@@ -9,6 +9,10 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from grogweb.engine import (
     PredationBatch,
@@ -18,6 +22,19 @@ from grogweb.engine import (
     legal_predations,
     new_state,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args, timeout=300, **kwargs):
+    """Run `python -m grogweb ARGS` in a child that imports this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "grogweb", *args],
+        capture_output=True, text=True, timeout=timeout, env=env, **kwargs,
+    )
+
 
 # The twelve distinct webs of the 3-vertex path, as (item, arc set,
 # grog number).  Every item has exactly 2 greedy strategies.

@@ -7,10 +7,10 @@ webs share one grog number, so no divergent pair exists for those bases.
 """
 
 import json
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
+
+from conftest import run_cli
 
 from grogweb.claims import (
     HarnessConfig,
@@ -31,8 +31,6 @@ from grogweb.webs import (
     star_graph,
 )
 
-CMD = [sys.executable, "-m", "grogweb"]
-
 
 @contextmanager
 def criterion(num, label):
@@ -47,11 +45,8 @@ def criterion(num, label):
 def test_criterion_1_example_reproduction():
     with criterion(1, "P3 web list reproduction"):
         start = time.perf_counter()
-        proc = subprocess.run(
-            CMD + ["enumerate", "--graph", "path", "--n", "3",
-                   "--dedup", "--distribution", "--format", "json"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = run_cli("enumerate", "--graph", "path", "--n", "3",
+                       "--dedup", "--distribution", "--format", "json", timeout=60)
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr
         obj = json.loads(proc.stdout)
@@ -172,10 +167,7 @@ def test_criterion_9_verify_determinism(tmp_path):
         outputs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            proc = subprocess.run(
-                CMD + ["verify", "--all", "--seed", "42", "--out", str(out)],
-                capture_output=True, text=True, timeout=600,
-            )
+            proc = run_cli("verify", "--all", "--seed", "42", "--out", str(out), timeout=600)
             # thm-2.6 fails honestly, so the run reports overall failure
             assert proc.returncode == 1, proc.stderr
             outputs.append((out.read_bytes(), proc.stdout))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import grogweb.claims as claims
 import grogweb.engine as engine
 from grogweb.claims import (
+    CLAIM_INFO,
     CLAIM_ORDER,
     HarnessConfig,
     check_cycle_relations,
@@ -21,8 +23,8 @@ from grogweb.claims import (
     run_all,
     run_claims,
 )
-from grogweb.engine import IllegalBatchError
-from grogweb.graphs import CapExceeded, GraphError
+from grogweb.engine import IllegalBatchError, Web
+from grogweb.graphs import CapExceeded, GraphError, make_digraph
 from grogweb.webs import WEB_N_CAP, enumerate_webs, path_graph
 
 SMALL = HarnessConfig(runs_per_web=3, random_webs=5, random_greedy_webs=10)
@@ -43,10 +45,15 @@ class TestLemmaChecks:
         assert parity.status == "pass" and count.status == "pass"
         assert parity.claim_id == "lemma-2.2" and count.claim_id == "lemma-2.3"
 
-    def test_single_arc_web_passes_exit_lemma(self):
-        from grogweb.engine import Web
-        from grogweb.graphs import make_digraph
+    def test_one_vertex_web_is_skipped_without_drawing(self):
+        alone = check_exit_lemma(p3_webs(), runs=5, seed=3)
+        report = check_exit_lemma([Web(make_digraph(1, [])), *p3_webs()], runs=5, seed=3)
+        assert report.values["skipped_webs"] == 1
+        assert report.instances == alone.instances == 60
+        assert report.failures == alone.failures
+        assert report.status == "pass"
 
+    def test_single_arc_web_passes_exit_lemma(self):
         report = check_exit_lemma([Web(make_digraph(2, [(1, 2)]))], runs=5, seed=3)
         assert report.status == "pass"
 
@@ -158,6 +165,33 @@ class TestHarnessSanity:
         assert parity.status == "fail"
         assert count.status == "fail"
         assert parity.failures and "residual" in parity.failures[0]
+
+
+class TestRegistry:
+    def test_order_is_the_catalog(self):
+        assert CLAIM_ORDER == list(CLAIM_INFO)
+        grouped = [cid for ids, _ in claims._GROUPS for cid in ids]
+        assert sorted(grouped) == sorted(CLAIM_INFO)
+        assert len(grouped) == len(set(grouped))
+
+    def test_n_max_fields_are_config_fields(self):
+        fields = {f.name for f in dataclasses.fields(HarnessConfig)}
+        mapped = {info[2] for info in CLAIM_INFO.values()} - {None}
+        assert mapped == {f for f in fields if f.startswith("n_max_")}
+
+
+# sha256 of what `grogweb verify --all --seed S --out F` writes to F
+REPORT_SHA256 = {
+    42: "814c09264dc1fc0684e79169a1c82969871ea7bb991b49a143733d5441951744",
+    1: "8787972712bb33e3044856329587d406ce6dae487fe1b2754314935798d92dc5",
+    20150206: "d010d6dd9bd00680bbea04b9cd89089c96d5d570e738cc96b5aa387c05beccfa",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned(seed):
+    text = json.dumps(run_all(HarnessConfig(seed=seed)), indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[seed]
 
 
 class TestRunAll:

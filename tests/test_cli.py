@@ -1,12 +1,11 @@
+import dataclasses
 import json
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS, oracle_solve
+from conftest import EXAMPLE1_WEBS, oracle_solve, run_cli
 
-from grogweb import cli
+from grogweb import claims, cli
 from grogweb.engine import Web, enumerate_greedy, solve_exact, strategy_to_json
 from grogweb.graphs import digraph_to_json, make_digraph, ugraph_to_json
 from grogweb.jaco import build_jaco
@@ -18,15 +17,6 @@ from grogweb.webs import (
     star_graph,
     web_count_formula,
 )
-
-CMD = [sys.executable, "-m", "grogweb"]
-
-
-def run_cli(*args, **kwargs):
-    return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, timeout=300, **kwargs
-    )
-
 
 @pytest.fixture
 def web1_file(tmp_path):
@@ -313,6 +303,56 @@ def test_enumerate_matches_per_web_solves(capsys, family, n, base, dedup, fmt):
     argv = ["enumerate", "--graph", family, "--n", str(n), "--distribution", "--format", fmt]
     assert cli.main(argv + (["--dedup"] if dedup else [])) == 0
     assert capsys.readouterr().out == per_web_enumerate_output(base, dedup, fmt)
+
+
+# the HarnessConfig field that --n-max sets for each range claim
+N_MAX_ROUTES = {
+    "thm-1.1": "n_max_thm11",
+    "prop-2.4": "n_max_path",
+    "cor-2.5": "n_max_path",
+    "prop-2.7": "n_max_cycle",
+    "cor-2.8": "n_max_cycle",
+    "lemma-2.9": "n_max_lemma29",
+    "prop-2.10": "n_max_jaco",
+    "cor-2.11": "n_max_jaco",
+}
+
+
+class TestNMaxRouting:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """Run `cli.main` with run_claims replaced; return the changed config fields."""
+        seen = []
+
+        def fake_run_claims(ids, config):
+            seen.append((list(ids), config))
+            return {"claims": [], "status": "pass"}
+
+        monkeypatch.setattr(claims, "run_claims", fake_run_claims)
+
+        def run(*argv):
+            assert cli.main(["verify", *argv]) == 0
+            (ids, config), = seen
+            seen.clear()
+            default = dataclasses.asdict(claims.HarnessConfig())
+            changed = {k: v for k, v in dataclasses.asdict(config).items() if default[k] != v}
+            return ids, changed
+
+        return run
+
+    @pytest.mark.parametrize("cid", sorted(N_MAX_ROUTES))
+    def test_claim_sets_its_own_field(self, captured, cid):
+        ids, changed = captured("--claim", cid, "--n-max", "5")
+        assert ids == [cid]
+        assert changed == {N_MAX_ROUTES[cid]: 5}
+
+    def test_claim_without_range_changes_nothing(self, captured):
+        assert captured("--claim", "web-count", "--n-max", "5") == (["web-count"], {})
+
+    def test_all_claims_set_every_range_field(self, captured):
+        ids, changed = captured("--n-max", "5")
+        assert ids == claims.CLAIM_ORDER
+        assert changed == {field: 5 for field in N_MAX_ROUTES.values()}
 
 
 class TestVerifyCommand:

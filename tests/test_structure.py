@@ -1,4 +1,5 @@
-"""Structure guard: no private imports across modules, no unbounded caches.
+"""Structure guard: no private imports across modules, no unbounded caches,
+and no claim id outside the harness's catalog module.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -8,6 +9,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from grogweb.claims import CLAIM_INFO
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_FILES = sorted((ROOT / "src" / "grogweb").glob("*.py"))
@@ -57,6 +60,15 @@ def unbounded_caches(tree: ast.AST) -> list[str]:
     return found
 
 
+def string_literals(tree: ast.AST, wanted) -> list[str]:
+    """String constants in `tree` that are members of `wanted`."""
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in wanted
+    ]
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -69,6 +81,11 @@ def test_no_private_imports_across_modules(path):
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_unbounded_caches(path):
     assert unbounded_caches(_parse(path)) == []
+
+
+def test_cli_holds_no_claim_id():
+    cli = ROOT / "src" / "grogweb" / "cli.py"
+    assert string_literals(_parse(cli), CLAIM_INFO) == []
 
 
 def test_guard_catches_violations():
@@ -92,3 +109,5 @@ def test_guard_catches_violations():
     )
     assert len(private_imports(tree)) == 2
     assert [line.split(" on ")[-1] for line in unbounded_caches(tree)] == ["a", "b", "c", "d"]
+    tree = ast.parse('FIELDS = {"cor-2.5": "n_max_path"}\nNOTE = "cor-2.5 runs"\n')
+    assert string_literals(tree, CLAIM_INFO) == ["line 1: 'cor-2.5'"]

@@ -107,7 +107,7 @@ class TestEnumerateWebs:
         with pytest.raises(CapExceeded):
             list(enumerate_webs(path_graph(3), n_cap=2))
         with pytest.raises(CapExceeded):
-            list(enumerate_webs(path_graph(3), edge_cap=1))
+            list(enumerate_webs(complete_graph(6)))  # 15 edges > 12
         with pytest.raises(GraphError):
             list(enumerate_webs(make_ugraph(3, [(1, 2)])))
 
@@ -203,7 +203,7 @@ class TestSolveLabellings:
         with pytest.raises(CapExceeded):
             solve_labellings(path_graph(3), n_cap=2)
         with pytest.raises(CapExceeded):
-            solve_labellings(path_graph(3), edge_cap=1)
+            solve_labellings(complete_graph(6))  # 15 edges > 12
         with pytest.raises(GraphError):
             solve_labellings(make_ugraph(3, [(1, 2)]))
 
