@@ -45,7 +45,7 @@ class TestLemmaChecks:
         assert parity.status == "pass" and count.status == "pass"
         assert parity.claim_id == "lemma-2.2" and count.claim_id == "lemma-2.3"
 
-    def test_one_vertex_web_is_skipped_without_drawing(self):
+    def test_one_vertex_web_is_skipped(self):
         alone = check_exit_lemma(p3_webs(), runs=5, seed=3)
         report = check_exit_lemma([Web(make_digraph(1, [])), *p3_webs()], runs=5, seed=3)
         assert report.values["skipped_webs"] == 1
