@@ -9,9 +9,10 @@ deviation" adaptations are handled: the harness documents the measured
 grog-level numbers instead of asserting an interpretation of them.
 
 `_GROUPS` lists the claims that share one computation, in report order,
-each with the runner that checks them all from a `HarnessConfig`; a
-group runs once when any of its claims is requested.  All sampling is
-driven by a seed recorded in the report, and the report is
+each with the runner that checks them all from a `HarnessConfig` and a
+web corpus whose named-base webs are enumerated once per `run_claims`
+call; a group runs once when any of its claims is requested.  All
+sampling is driven by a seed recorded in the report, and the report is
 byte-reproducible for a fixed seed and caps.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .competition import check_theorem_1_1
 from .engine import (
-    SOLVER_ARC_CAP,
+    GREEDY_ARC_CAP,
     PredationBatch,
     Strategy,
     Web,
@@ -76,23 +77,25 @@ CLAIM_INFO = {
     "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2", None),
 }
 
-# (claim ids, runner(config) -> their reports), in report order.
+# (claim ids, runner(config, corpus) -> their reports), in report order;
+# corpus(seed, count) is the named-base webs plus `count` random webs.
 _GROUPS = (
-    (("thm-1.1",), lambda c: [check_competition_closed_form(c.n_max_thm11)]),
-    (("lemma-2.1",), lambda c: [check_exit_lemma(corpus_webs(c), c.runs_per_web, c.seed + 1)]),
-    (("lemma-2.2", "lemma-2.3"),
-     lambda c: check_parity_and_arc_count(corpus_webs(c), c.runs_per_web, c.seed + 2)),
-    (("prop-2.4",), lambda c: [check_path_extension_report(c.n_max_path, c.arc_cap)]),
-    (("cor-2.5",), lambda c: [check_path_recursion(c.n_max_path, c.arc_cap)]),
-    (("thm-2.6",), lambda c: [check_orientation_divergence(arc_cap=c.arc_cap)]),
-    (("prop-2.7", "cor-2.8"), lambda c: check_cycle_relations(c.n_max_cycle, c.arc_cap)),
+    (("thm-1.1",), lambda c, corpus: [check_competition_closed_form(c.n_max_thm11)]),
+    (("lemma-2.1",), lambda c, corpus: [
+        check_exit_lemma(corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 1)]),
+    (("lemma-2.2", "lemma-2.3"), lambda c, corpus: check_parity_and_arc_count(
+        corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
+    (("prop-2.4",), lambda c, corpus: [check_path_extension_report(c.n_max_path)]),
+    (("cor-2.5",), lambda c, corpus: [check_path_recursion(c.n_max_path)]),
+    (("thm-2.6",), lambda c, corpus: [check_orientation_divergence()]),
+    (("prop-2.7", "cor-2.8"), lambda c, corpus: check_cycle_relations(c.n_max_cycle)),
     (("lemma-2.9", "prop-2.10", "cor-2.11"),
-     lambda c: check_jaco_recursion(c.n_max_jaco, c.arc_cap, c.n_max_lemma29)),
-    (("obs-1", "obs-2"),
-     lambda c: check_termination_and_determinism(corpus_webs(c), c.runs_per_web, c.seed + 3)),
-    (("def-2.2-equivalence",),
-     lambda c: [check_greedy_equivalence(_corpus(c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c: [check_web_count()]),
+     lambda c, corpus: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
+    (("obs-1", "obs-2"), lambda c, corpus: check_termination_and_determinism(
+        corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
+    (("def-2.2-equivalence",), lambda c, corpus: [check_greedy_equivalence(
+        corpus(c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
+    (("web-count",), lambda c, corpus: [check_web_count()]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -109,7 +112,7 @@ class HarnessConfig:
     runs_per_web: int = 10
     random_webs: int = 30
     random_greedy_webs: int = 200
-    arc_cap: int = SOLVER_ARC_CAP
+    arc_cap: int = GREEDY_ARC_CAP
 
 
 @dataclass
@@ -182,17 +185,19 @@ def random_connected_web(rng: random.Random, max_n: int = 7, max_arcs: int = 10)
     return Web(Digraph(n, arcs))
 
 
-def _corpus(seed: int, count: int) -> list[Web]:
-    """Named small-base webs plus `count` random connected webs drawn from `seed`."""
-    webs = [web for _, base in _named_bases() for web in enumerate_webs(base, dedup=True)]
+def _named_webs() -> list[Web]:
+    return [web for _, base in _named_bases() for web in enumerate_webs(base, dedup=True)]
+
+
+def _with_random(named: list[Web], seed: int, count: int) -> list[Web]:
+    """`named` plus `count` random connected webs drawn from `seed`."""
     rng = random.Random(seed)
-    webs.extend(random_connected_web(rng) for _ in range(count))
-    return webs
+    return named + [random_connected_web(rng) for _ in range(count)]
 
 
 def corpus_webs(config: HarnessConfig) -> list[Web]:
     """Named small-base webs plus seeded random connected webs."""
-    return _corpus(config.seed, config.random_webs)
+    return _with_random(_named_webs(), config.seed, config.random_webs)
 
 
 def random_maximal_strategy(web: Web, rng: random.Random) -> Strategy:
@@ -279,11 +284,11 @@ def check_parity_and_arc_count(
     )
 
 
-def check_greedy_equivalence(corpus: list[Web], arc_cap: int = SOLVER_ARC_CAP) -> ClaimReport:
+def check_greedy_equivalence(corpus: list[Web], arc_cap: int = GREEDY_ARC_CAP) -> ClaimReport:
     """def-2.2-equivalence: greedy minimum equals the exact grog number."""
     failures = []
     for web in corpus:
-        exact = solve_exact(web, cap=arc_cap)
+        exact = solve_exact(web)
         greedy = enumerate_greedy(web, cap=arc_cap)
         if exact.grog != greedy.min_residual:
             failures.append({
@@ -295,8 +300,8 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int = SOLVER_ARC_CAP) -
     return _report("def-2.2-equivalence", _assert_status(failures), len(corpus), failures, values)
 
 
-def _family_grogs(family, n_max: int, arc_cap: int) -> dict[int, int]:
-    return {n: grog_number(family(n), arc_cap=arc_cap).grog for n in range(3, n_max + 1)}
+def _family_grogs(family, n_max: int) -> dict[int, int]:
+    return {n: grog_number(family(n)).grog for n in range(3, n_max + 1)}
 
 
 def _check_family_range(what: str, n_max: int) -> None:
@@ -309,10 +314,10 @@ def _check_family_range(what: str, n_max: int) -> None:
         )
 
 
-def check_path_recursion(n_max: int, arc_cap: int = SOLVER_ARC_CAP) -> ClaimReport:
+def check_path_recursion(n_max: int) -> ClaimReport:
     """cor-2.5: brute-forced g(P_n) satisfies g(P_{n+1}) = g(P_n) + (n - 1)."""
     _check_family_range("path recursion", n_max)
-    g = _family_grogs(path_graph, n_max, arc_cap)
+    g = _family_grogs(path_graph, n_max)
     failures = []
     for n in range(3, n_max):
         if g[n + 1] != g[n] + (n - 1):
@@ -326,22 +331,20 @@ def check_path_recursion(n_max: int, arc_cap: int = SOLVER_ARC_CAP) -> ClaimRepo
     return _report("cor-2.5", _assert_status(failures), max(0, n_max - 3), failures, values)
 
 
-def check_path_extension_report(n_max: int, arc_cap: int = SOLVER_ARC_CAP) -> ClaimReport:
+def check_path_extension_report(n_max: int) -> ClaimReport:
     """prop-2.4 (report-only): per-web grog histograms and extension deltas."""
     _check_family_range("path extension report", n_max)
-    g = _family_grogs(path_graph, n_max, arc_cap)
+    g = _family_grogs(path_graph, n_max)
     per_web = {}
     for n in range(3, min(5, n_max) + 1):
-        hist = residual_distribution(path_graph(n), arc_cap=arc_cap)
+        hist = residual_distribution(path_graph(n))
         per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
     values = {"per_web_grog": per_web, "extension_deltas": deltas}
     return _report("prop-2.4", "reported", len(per_web) + len(deltas), [], values)
 
 
-def check_cycle_relations(
-    n_max: int, arc_cap: int = SOLVER_ARC_CAP
-) -> tuple[ClaimReport, ClaimReport]:
+def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     """prop-2.7 and cor-2.8 (report-only): observed cycle deltas.
 
     These are per-strategy statements about minimally-deviated strategy
@@ -350,8 +353,8 @@ def check_cycle_relations(
     observed sequences are recorded without assertion.
     """
     _check_family_range("cycle relations", n_max)
-    gc = _family_grogs(cycle_graph, n_max, arc_cap)
-    gp = _family_grogs(path_graph, n_max, arc_cap)
+    gc = _family_grogs(cycle_graph, n_max)
+    gp = _family_grogs(path_graph, n_max)
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
     prop = _report(
@@ -394,9 +397,7 @@ def divergence_bases() -> list[tuple[str, UGraph]]:
     ]
 
 
-def check_orientation_divergence(
-    bases: list[tuple[str, UGraph]] | None = None, arc_cap: int = SOLVER_ARC_CAP
-) -> ClaimReport:
+def check_orientation_divergence(bases: list[tuple[str, UGraph]] | None = None) -> ClaimReport:
     """thm-2.6: each base has two webs with distinct grog numbers (n >= 3)."""
     if bases is None:
         bases = divergence_bases()
@@ -408,7 +409,7 @@ def check_orientation_divergence(
         if base.n < 3:
             skipped.append(name)
             continue
-        distinct = list(residual_distribution(base, arc_cap=arc_cap))
+        distinct = list(residual_distribution(base))
         lo, hi = distinct[0], distinct[-1]
         values["bases"][name] = {"min": lo, "max": hi, "distinct": distinct}
         instances += 1
@@ -420,18 +421,13 @@ def check_orientation_divergence(
 
 
 def check_jaco_recursion(
-    n_max: int,
-    arc_cap: int = SOLVER_ARC_CAP,
-    lemma29_n_max: int | None = None,
+    n_max: int, lemma29_n_max: int | None = None
 ) -> tuple[ClaimReport, ClaimReport, ClaimReport]:
-    """lemma-2.9, prop-2.10 and cor-2.11 with exhaustively solved g(J_n(1))."""
+    """lemma-2.9, prop-2.10 and cor-2.11 with exactly solved g(J_n(1))."""
     if n_max < 2:
         raise GraphError(f"Jaco recursion needs n_max >= 2, got {n_max}")
-    top = build_jaco(n_max)
-    if len(top.digraph.arcs) > arc_cap:
-        raise CapExceeded(
-            f"J_{n_max}(1) has {len(top.digraph.arcs)} arcs, above the solver cap {arc_cap}"
-        )
+    # top order first: a J_n past the solver's cap raises before any other work
+    g = {n: solve_exact(Web(build_jaco(n).digraph)).grog for n in range(n_max, 1, -1)}
     if lemma29_n_max is None:
         lemma29_n_max = max(n_max, 40)
 
@@ -455,10 +451,6 @@ def check_jaco_recursion(
         },
     )
 
-    g = {
-        n: solve_exact(Web(build_jaco(n).digraph), cap=arc_cap).grog
-        for n in range(2, n_max + 1)
-    }
     jaconian = {n: jaconian_vertex(n) for n in range(2, n_max)}
     rec_failures = []
     for n in range(2, n_max):
@@ -612,12 +604,19 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
     if unknown:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
+    named: list[Web] = []
+
+    def corpus(seed: int, count: int) -> list[Web]:
+        if not named:
+            named.extend(_named_webs())
+        return _with_random(named, seed, count)
+
     reports: list[ClaimReport] = []
     for ids, runner in _GROUPS:
         if not wanted.intersection(ids):
             continue
         try:
-            group_reports = runner(config)
+            group_reports = runner(config, corpus)
         except GraphError as exc:
             group_reports = [
                 ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": str(exc)})

@@ -22,7 +22,7 @@ from .competition import (
     jaco_competition_closed_form,
 )
 from .engine import (
-    SOLVER_ARC_CAP,
+    GREEDY_ARC_CAP,
     StrategyError,
     Web,
     enumerate_greedy,
@@ -43,7 +43,6 @@ from .graphs import (
 )
 from .jaco import build_jaco, jaco_to_json
 from .webs import (
-    WEB_N_CAP,
     complete_graph,
     cycle_graph,
     enumerate_webs,
@@ -142,7 +141,7 @@ def cmd_competition(args) -> int:
 
 def cmd_grog_solve(args) -> int:
     web = Web(digraph_from_json(_load_json_file(args.input)))
-    result = solve_exact(web, cap=args.max_arcs)
+    result = solve_exact(web)
     if args.format == "json":
         text = _json_text(solve_result_to_json(result, include_witness=args.witness))
     else:
@@ -193,10 +192,10 @@ def cmd_enumerate(args) -> int:
         base = _FAMILIES[args.graph](args.n)
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
-    webs = list(enumerate_webs(base, dedup=args.dedup, n_cap=args.max_n))
+    webs = list(enumerate_webs(base, dedup=args.dedup))
     formula = web_count_formula(base.n, len(base.edges))
     # every orientation of a labelled edge set shares its grog number
-    solved = solve_labellings(base, arc_cap=args.max_arcs, n_cap=args.max_n)
+    solved = solve_labellings(base)
     grogs = [solved[underlying(w.digraph).edges][1].grog for w in webs]
     grog = min(grogs)
     witness = webs[grogs.index(grog)]
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = gsub.add_parser("solve", help="exact grog number of a web")
     ps.add_argument("input", help="digraph JSON file")
     ps.add_argument("--witness", action="store_true", help="include a witness strategy")
-    ps.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
     common(ps, ["text", "json"])
     ps.set_defaults(func=cmd_grog_solve)
 
@@ -348,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true", help="emit each distinct web once")
     p.add_argument("--distribution", action="store_true",
                    help="include the residual histogram and per-web greedy counts")
-    p.add_argument("--max-n", type=int, default=WEB_N_CAP)
-    p.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
+    p.add_argument("--max-arcs", type=int, default=GREEDY_ARC_CAP,
+                   help="arc cap of the per-web greedy counts (with --distribution)")
     common(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_enumerate)
 
@@ -359,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--claim", metavar="ID", help="run a single claim by id")
     p.add_argument("--n-max", type=int, help="override the range cap of range-based claims")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-arcs", type=int, default=SOLVER_ARC_CAP)
+    p.add_argument("--max-arcs", type=int, default=GREEDY_ARC_CAP,
+                   help="arc cap of the greedy walk in the greedy-equivalence claim")
     common(p, ["text", "json"])
     p.set_defaults(func=cmd_verify)
 

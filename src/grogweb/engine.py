@@ -26,6 +26,11 @@ exact solver finds in polynomial time by reducing it to an ordinary
 maximum matching (the vertex-and-edge gadget of Tutte and Shiloach) and
 running Edmonds' blossom search on it.  The greedy counter still walks
 remaining-arc bitmasks, because greedy counts depend on the orientation.
+
+The exact solver's cost is its gadget, where each copy of v meets all
+deg(v) edge-vertices at v: SOLVER_GADGET_CAP bounds those copy edges,
+sum_v deg(v) * b(v), and no caller can move it.  The greedy counter's
+cost is its 2^arcs masks, bounded by an arc cap (GREEDY_ARC_CAP).
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from math import factorial
 
 from .graphs import CapExceeded, Digraph, GraphError
 
-SOLVER_ARC_CAP = 24
+SOLVER_GADGET_CAP = 2**17
+GREEDY_ARC_CAP = 24
 
 
 class StrategyError(ValueError):
@@ -202,22 +208,6 @@ def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> Ru
     )
 
 
-def _capped_arcs(web: Web, cap: int) -> tuple[tuple[int, int], ...]:
-    arcs = web.digraph.arcs
-    if len(arcs) > cap:
-        raise CapExceeded(f"{len(arcs)} arcs exceed the solver cap {cap}")
-    return arcs
-
-
-def _arc_tables(web: Web, cap: int):
-    arcs = _capped_arcs(web, cap)
-    inc = [0] * (web.n + 1)
-    for k, (t, h) in enumerate(arcs):
-        inc[t] |= 1 << k
-        inc[h] |= 1 << k
-    return arcs, inc
-
-
 def _blossom_base(base, parent, mate, a: int, b: int) -> int:
     """Base of the innermost blossom holding the outer vertices a and b."""
     seen = set()
@@ -298,7 +288,7 @@ def _free_copy_first(copies, mate, dead) -> int | None:
     return found
 
 
-def solve_exact(web: Web, cap: int = SOLVER_ARC_CAP) -> SolveResult:
+def solve_exact(web: Web) -> SolveResult:
     """Exact grog number as a maximum b-matching with b(v) = min(v, deg v).
 
     The gadget graph has, for every web vertex v, b(v) copies and, for
@@ -323,20 +313,26 @@ def solve_exact(web: Web, cap: int = SOLVER_ARC_CAP) -> SolveResult:
     matching is put back.
 
     `states_explored` counts the matchings examined: the greedy seed and
-    one more for each augmenting-path search.
+    one more for each augmenting-path search.  A gadget of more than
+    SOLVER_GADGET_CAP copy edges raises CapExceeded before it is built.
     """
-    arcs = _capped_arcs(web, cap)
+    arcs = web.digraph.arcs
     n = web.n
     deg = [0] * (n + 1)
     for t, h in arcs:
         deg[t] += 1
         deg[h] += 1
+    copy_edges = sum(d * min(v, d) for v, d in enumerate(deg))
+    if copy_edges > SOLVER_GADGET_CAP:
+        raise CapExceeded(
+            f"the solver gadget would have {copy_edges} copy edges "
+            f"(sum of deg(v) * min(v, deg v)), above the cap {SOLVER_GADGET_CAP}"
+        )
     size = 2 * len(arcs)
     copies = []
     for v in range(n + 1):
-        b = min(v, deg[v])
-        copies.append(range(size, size + b))
-        size += b
+        copies.append(range(size, size + min(v, deg[v])))
+        size += len(copies[-1])
     adj: list[list[int]] = [[] for _ in range(size)]
     mate = [-1] * size
     taken = [0] * (n + 1)
@@ -410,7 +406,7 @@ def solve_exact(web: Web, cap: int = SOLVER_ARC_CAP) -> SolveResult:
     )
 
 
-def enumerate_greedy(web: Web, cap: int = SOLVER_ARC_CAP) -> GreedyResult:
+def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
     """Count greedy strategies and return their minimum residual.
 
     A greedy strategy repeatedly picks a vertex with at least one legal
@@ -422,9 +418,15 @@ def enumerate_greedy(web: Web, cap: int = SOLVER_ARC_CAP) -> GreedyResult:
     A predator's population never recovers, so blocks have pairwise
     distinct predators and the string determines the block structure.
     """
-    arcs, inc = _arc_tables(web, cap)
+    arcs = web.digraph.arcs
     eps = len(arcs)
+    if eps > cap:
+        raise CapExceeded(f"{eps} arcs exceed the greedy cap {cap}")
     n = web.n
+    inc = [0] * (n + 1)
+    for k, (t, h) in enumerate(arcs):
+        inc[t] |= 1 << k
+        inc[h] |= 1 << k
     full = (1 << eps) - 1
     total = web.total_population
     tails = [a[0] for a in arcs]

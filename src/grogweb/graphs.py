@@ -142,16 +142,16 @@ def underlying(d: Digraph) -> UGraph:
     return UGraph(d.n, tuple(sorted((min(t, h), max(t, h)) for t, h in d.arcs)))
 
 
-def orientations(g: UGraph, cap: int = ORIENTATION_EDGE_CAP) -> Iterator[Digraph]:
+def orientations(g: UGraph) -> Iterator[Digraph]:
     """Stream all 2^eps orientations of g.
 
     Deterministic order: edges sorted, direction bits in binary counting
     order (bit k of the counter flips edge k; bit 0 keeps the u < v
-    direction).  Refuses graphs with more than `cap` edges.
+    direction).  Refuses graphs with more than ORIENTATION_EDGE_CAP edges.
     """
     eps = len(g.edges)
-    if eps > cap:
-        raise CapExceeded(f"{eps} edges exceed the orientation cap {cap}")
+    if eps > ORIENTATION_EDGE_CAP:
+        raise CapExceeded(f"{eps} edges exceed the orientation cap {ORIENTATION_EDGE_CAP}")
 
     def gen() -> Iterator[Digraph]:
         for mask in range(1 << eps):
@@ -164,12 +164,12 @@ def orientations(g: UGraph, cap: int = ORIENTATION_EDGE_CAP) -> Iterator[Digraph
     return gen()
 
 
-def indexings(n: int, cap: int = INDEXING_CAP) -> Iterator[Indexing]:
-    """Stream all n! label assignments in lexicographic order."""
+def indexings(n: int) -> Iterator[Indexing]:
+    """Stream all n! label assignments in lexicographic order (n <= INDEXING_CAP)."""
     if type(n) is not int or n < 1:
         raise GraphError(f"need n >= 1, got {n!r}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the indexing cap {cap}")
+    if n > INDEXING_CAP:
+        raise CapExceeded(f"n={n} exceeds the indexing cap {INDEXING_CAP}")
     return iter(itertools.permutations(range(1, n + 1)))
 
 

@@ -50,18 +50,18 @@ class JacoGraph:
     jaconian: int | None
 
 
-def build_jaco(n: int, cap: int = JACO_ORDER_CAP) -> JacoGraph:
+def build_jaco(n: int) -> JacoGraph:
     """Construct J_n(1) iteratively.
 
     Linear in the arc count with O(1) Python steps per tail: each tail i
     emits the consecutive arcs (i, i+1) .. (i, min(n, 2i - d^-(v_i))) in
     one extend, and in-degrees are complete before they are read because
-    arcs only point upward.
+    arcs only point upward.  Orders above JACO_ORDER_CAP raise CapExceeded.
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"Jaco graph order must be a positive integer, got {n!r}")
-    if n > cap:
-        raise CapExceeded(f"Jaco order {n} exceeds the cap {cap}")
+    if n > JACO_ORDER_CAP:
+        raise CapExceeded(f"Jaco order {n} exceeds the cap {JACO_ORDER_CAP}")
 
     step = [0] * (n + 2)  # difference array of the in-degrees
     dminus = [0] * (n + 1)
@@ -95,7 +95,7 @@ def build_jaco(n: int, cap: int = JACO_ORDER_CAP) -> JacoGraph:
     )
 
 
-def jaconian_vertex(n: int, cap: int = JACO_ORDER_CAP) -> int:
+def jaconian_vertex(n: int) -> int:
     """Index i of the Jaconian vertex of J_n(1), n >= 2.
 
     Raises RuntimeError if the construction invariants fail, which would
@@ -103,7 +103,7 @@ def jaconian_vertex(n: int, cap: int = JACO_ORDER_CAP) -> int:
     """
     if type(n) is not int or n < 2:
         raise GraphError(f"Jaconian vertex needs n >= 2, got {n!r}")
-    jg = build_jaco(n, cap=cap)
+    jg = build_jaco(n)
     i = jg.jaconian
     assert i is not None
     reach = i + jg.out_deg[i - 1]

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import SOLVER_ARC_CAP, SolveResult, Strategy, Web, solve_exact
+from .engine import SolveResult, Strategy, Web, solve_exact
 from .graphs import (
     INDEXING_CAP,
     CapExceeded,
@@ -89,28 +89,28 @@ def web_count_formula(n: int, eps: int) -> int:
     return value
 
 
-def _check_base(g: UGraph, n_cap: int) -> None:
+def _check_base(g: UGraph) -> None:
     if not is_connected(g):
         raise GraphError("base graph must be connected")
-    if g.n > n_cap:
-        raise CapExceeded(f"n={g.n} exceeds the web enumeration cap {n_cap}")
+    if g.n > WEB_N_CAP:
+        raise CapExceeded(f"n={g.n} exceeds the web enumeration cap {WEB_N_CAP}")
     if len(g.edges) > WEB_EDGE_CAP:
         raise CapExceeded(f"{len(g.edges)} edges exceed the web enumeration cap {WEB_EDGE_CAP}")
 
 
-def enumerate_webs(g: UGraph, dedup: bool = False, *, n_cap: int = WEB_N_CAP) -> Iterator[Web]:
+def enumerate_webs(g: UGraph, dedup: bool = False) -> Iterator[Web]:
     """Stream the webs of a connected base graph.
 
     Outer loop: indexings in lexicographic order.  Inner loop: direction
     bits in binary counting order applied to the sorted base edges.
     With dedup, each arc set is emitted once, at first occurrence.
     """
-    _check_base(g, n_cap)
+    _check_base(g)
     eps = len(g.edges)
 
     def gen() -> Iterator[Web]:
         seen: set[tuple[tuple[int, int], ...]] = set()
-        for labels in indexings(g.n, cap=n_cap):
+        for labels in indexings(g.n):
             for mask in range(1 << eps):
                 arcs = []
                 for k, (p, q) in enumerate(g.edges):
@@ -126,10 +126,10 @@ def enumerate_webs(g: UGraph, dedup: bool = False, *, n_cap: int = WEB_N_CAP) ->
     return gen()
 
 
-def automorphism_count(g: UGraph, cap: int = WEB_N_CAP) -> int:
-    """|Aut(g)| by brute-force permutation check."""
-    if g.n > cap:
-        raise CapExceeded(f"n={g.n} exceeds the automorphism cap {cap}")
+def automorphism_count(g: UGraph) -> int:
+    """|Aut(g)| by brute-force permutation check, for n <= WEB_N_CAP."""
+    if g.n > WEB_N_CAP:
+        raise CapExceeded(f"n={g.n} exceeds the automorphism cap {WEB_N_CAP}")
     edges = set(g.edges)
     count = 0
     for perm in itertools.permutations(range(1, g.n + 1)):
@@ -142,12 +142,7 @@ def automorphism_count(g: UGraph, cap: int = WEB_N_CAP) -> int:
     return count
 
 
-def solve_labellings(
-    g: UGraph,
-    *,
-    arc_cap: int = SOLVER_ARC_CAP,
-    n_cap: int = WEB_N_CAP,
-) -> dict[LabelledEdges, tuple[Web, SolveResult]]:
+def solve_labellings(g: UGraph) -> dict[LabelledEdges, tuple[Web, SolveResult]]:
     """One exact solve per distinct labelled edge set of g.
 
     Indexings are walked in lexicographic order.  Each new labelled edge
@@ -157,14 +152,14 @@ def solve_labellings(
     the same grog number, and among the deduplicated webs each edge set
     accounts for exactly 2^eps of them.
     """
-    _check_base(g, n_cap)
+    _check_base(g)
     solved: dict[LabelledEdges, tuple[Web, SolveResult]] = {}
-    for labels in indexings(g.n, cap=n_cap):
+    for labels in indexings(g.n):
         arcs = [(labels[p - 1], labels[q - 1]) for p, q in g.edges]
         key = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
         if key not in solved:
             web = Web(Digraph(g.n, tuple(sorted(arcs))))
-            solved[key] = (web, solve_exact(web, cap=arc_cap))
+            solved[key] = (web, solve_exact(web))
     return solved
 
 
@@ -177,7 +172,7 @@ class GraphGrogResult:
     strategy: Strategy
 
 
-def grog_number(g: UGraph, *, arc_cap: int = SOLVER_ARC_CAP) -> GraphGrogResult:
+def grog_number(g: UGraph) -> GraphGrogResult:
     """Minimum grog number over every indexing and orientation of g.
 
     The witness is the first optimal web in stream order, with or
@@ -185,14 +180,14 @@ def grog_number(g: UGraph, *, arc_cap: int = SOLVER_ARC_CAP) -> GraphGrogResult:
     edge set attains the minimum, since every earlier indexing has a
     larger value in all of its orientations.
     """
-    solved = solve_labellings(g, arc_cap=arc_cap)
+    solved = solve_labellings(g)
     web, best = min(solved.values(), key=lambda pair: pair[1].grog)
     return GraphGrogResult(best.grog, web, best.witness)
 
 
-def residual_distribution(g: UGraph, *, arc_cap: int = SOLVER_ARC_CAP) -> dict[int, int]:
+def residual_distribution(g: UGraph) -> dict[int, int]:
     """Histogram grog number -> web count over the deduplicated webs."""
-    solved = solve_labellings(g, arc_cap=arc_cap)
+    solved = solve_labellings(g)
     counts = Counter(result.grog for _, result in solved.values())
     orientations = 1 << len(g.edges)
     return {grog: count * orientations for grog, count in sorted(counts.items())}

@@ -23,7 +23,7 @@ from grogweb.claims import (
     run_all,
     run_claims,
 )
-from grogweb.engine import IllegalBatchError, Web
+from grogweb.engine import IllegalBatchError, Web, strategy_to_json
 from grogweb.graphs import CapExceeded, GraphError, make_digraph
 from grogweb.webs import WEB_N_CAP, enumerate_webs, path_graph
 
@@ -113,10 +113,23 @@ class TestJacoClaims:
         assert cor.status == "pass"
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            check_jaco_recursion(9, arc_cap=10)
+        # J_91 is the first Jaco web past the solver's gadget cap
+        with pytest.raises(CapExceeded, match="gadget"):
+            check_jaco_recursion(91)
         with pytest.raises(GraphError):
             check_jaco_recursion(1)
+
+    def test_top_order_is_solved_first(self, monkeypatch):
+        solved = []
+
+        def recording(web):
+            solved.append(web.n)
+            return engine.solve_exact(web)
+
+        monkeypatch.setattr(claims, "solve_exact", recording)
+        with pytest.raises(CapExceeded):
+            check_jaco_recursion(95)
+        assert solved == [95]
 
 
 class TestDivergence:
@@ -194,7 +207,35 @@ def test_report_bytes_are_pinned(seed):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[seed]
 
 
+def test_random_runs_are_pinned(monkeypatch):
+    # a passing report holds only counts, so pin the strategies it drew:
+    # every (web arcs, strategy) run_strategy sees in the three random-run groups
+    runs = []
+
+    def recording(web, strategy, *args, **kwargs):
+        runs.append([[list(arc) for arc in web.digraph.arcs], strategy_to_json(strategy)])
+        return engine.run_strategy(web, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(claims, "run_strategy", recording)
+    run_claims(["lemma-2.1", "lemma-2.2", "obs-1"], HarnessConfig(seed=42))
+    assert len(runs) == 7760
+    digest = hashlib.sha256(json.dumps(runs).encode("utf-8")).hexdigest()
+    assert digest == "55ddec6878159fabf0dba4b187e015722d9906287ada46982cef2ae9f0923efb"
+
+
 class TestRunAll:
+    def test_named_webs_are_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counting(base, *args, **kwargs):
+            calls.append(base)
+            return enumerate_webs(base, *args, **kwargs)
+
+        monkeypatch.setattr(claims, "enumerate_webs", counting)
+        run_all(SMALL)
+        # P3, P4, C3, C4 once for the shared corpus, then web-count's five bases
+        assert len(calls) == 9
+
     def test_full_report(self):
         report = run_all(SMALL)
         assert [c["id"] for c in report["claims"]] == CLAIM_ORDER

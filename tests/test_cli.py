@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from conftest import EXAMPLE1_WEBS, oracle_solve, run_cli
 from grogweb import claims, cli
 from grogweb.engine import Web, enumerate_greedy, solve_exact, strategy_to_json
 from grogweb.graphs import digraph_to_json, make_digraph, ugraph_to_json
-from grogweb.jaco import build_jaco
+from grogweb.jaco import build_jaco, jaco_to_json
 from grogweb.webs import (
     complete_graph,
     cycle_graph,
@@ -22,6 +23,13 @@ from grogweb.webs import (
 def web1_file(tmp_path):
     path = tmp_path / "web1.json"
     path.write_text(json.dumps({"n": 3, "arcs": [[1, 2], [2, 3]]}))
+    return str(path)
+
+
+def jaco_file(tmp_path, n):
+    """J_n as `grogweb jaco --format json` writes it."""
+    path = tmp_path / f"j{n}.json"
+    path.write_text(json.dumps(jaco_to_json(build_jaco(n))))
     return str(path)
 
 
@@ -159,9 +167,21 @@ class TestGrogCommand:
         assert proc.returncode == 2
         assert "--max-arcs" in proc.stderr
 
-    def test_solve_cap(self, web1_file):
-        proc = run_cli("grog", "solve", web1_file, "--max-arcs", "1")
+    def test_solve_cap(self, tmp_path):
+        proc = run_cli("grog", "solve", jaco_file(tmp_path, 300))
         assert proc.returncode == 2
+        assert "solver gadget would have 4753110 copy edges" in proc.stderr
+
+    def test_solve_past_24_arcs(self, tmp_path):
+        # J_80 has 1228 arcs: g = 80 * 81 / 2 - 2 * 1228
+        proc = run_cli("grog", "solve", jaco_file(tmp_path, 80))
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("grog number: 784\n")
+
+    def test_solve_rejects_max_arcs(self, web1_file):
+        proc = run_cli("grog", "solve", web1_file, "--max-arcs", "5")
+        assert proc.returncode == 2
+        assert "--max-arcs" in proc.stderr
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -201,6 +221,14 @@ class TestEnumerateCommand:
     def test_cap(self):
         proc = run_cli("enumerate", "--graph", "path", "--n", "9")
         assert proc.returncode == 2
+        start = time.perf_counter()
+        assert cli.main(["enumerate", "--graph", "path", "--n", "9"]) == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_rejects_max_n(self):
+        proc = run_cli("enumerate", "--graph", "path", "--n", "3", "--max-n", "5")
+        assert proc.returncode == 2
+        assert "--max-n" in proc.stderr
 
     def test_file_base(self, tmp_path):
         path = tmp_path / "base.json"
@@ -369,6 +397,17 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--claim", "nosuch")
         assert proc.returncode == 2
         assert "unknown claim" in proc.stderr
+
+    def test_jaco_claim_runs_past_24_arcs(self):
+        proc = run_cli("verify", "--claim", "prop-2.10", "--n-max", "12", "--format", "json")
+        assert proc.returncode == 0
+        claim = json.loads(proc.stdout)["claims"][0]
+        assert (claim["status"], claim["instances"]) == ("pass", 10)
+
+    def test_max_arcs_reaches_only_the_greedy_claim(self):
+        proc = run_cli("verify", "--max-arcs", "5", "--format", "json")
+        skipped = [c["id"] for c in json.loads(proc.stdout)["claims"] if c["status"] == "skipped"]
+        assert skipped == ["def-2.2-equivalence"]
 
     def test_path_claim_runs_past_six(self):
         proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "7", "--format", "json")

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from conftest import (
@@ -187,8 +189,27 @@ class TestSolveExact:
         assert r.states_explored >= 1
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
-            solve_exact(Web(build_jaco(7).digraph), cap=5)
+        # the cap is on sum deg(v) * min(v, deg v): J_90 has 128,422 copy
+        # edges and K_65 137,216, against 2^17 = 131,072; every arc of J_90
+        # can be consumed, so g = 90 * 91 / 2 - 2 * 1553
+        assert solve_exact(Web(build_jaco(90).digraph)).grog == 989
+        with pytest.raises(CapExceeded, match="gadget"):
+            solve_exact(Web(build_jaco(91).digraph))
+        k65 = make_digraph(65, itertools.combinations(range(1, 66), 2))
+        with pytest.raises(CapExceeded, match="137216 copy edges"):
+            solve_exact(Web(k65))
+
+    def test_cap_raises_before_the_gadget(self):
+        # J_300's gadget would need about 4.75 M copy edges, some 240 MB
+        web = Web(build_jaco(300).digraph)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                solve_exact(web)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_jaco_far_past_the_memo_oracle(self):
         # g(J_2) .. g(J_20); J_20 has 78 arcs, 2^78 remaining-arc states
@@ -198,7 +219,7 @@ class TestSolveExact:
             assert expected[n - 1] == expected[n - 2] + (2 * i - n) + 1, n  # prop-2.10
         for n, g in zip(range(2, 21), expected):
             w = Web(build_jaco(n).digraph)
-            r = solve_exact(w, cap=len(w.digraph.arcs))
+            r = solve_exact(w)
             assert r.grog == g, n
             assert run_strategy(w, r.witness, require_exit=True).residual == g, n
             if len(w.digraph.arcs) <= 16:

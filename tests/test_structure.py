@@ -1,5 +1,6 @@
 """Structure guard: no private imports across modules, no unbounded caches,
-and no claim id outside the harness's catalog module.
+no claim id outside the harness's catalog module, and no settable cap
+outside the greedy counter.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -69,6 +70,27 @@ def string_literals(tree: ast.AST, wanted) -> list[str]:
     ]
 
 
+CAP_PARAMETERS = {"cap", "n_cap", "arc_cap"}
+# the 2^arcs greedy walk is the one cost a caller may cap
+CAP_OWNERS = {"enumerate_greedy", "check_greedy_equivalence"}
+
+
+def cap_parameters(tree: ast.AST) -> list[str]:
+    """Parameters named cap, n_cap or arc_cap outside CAP_OWNERS."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        found += [
+            f"line {node.lineno}: {name}({p.arg})"
+            for p in params
+            if p.arg in CAP_PARAMETERS and name not in CAP_OWNERS
+        ]
+    return found
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -81,6 +103,11 @@ def test_no_private_imports_across_modules(path):
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_unbounded_caches(path):
     assert unbounded_caches(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_no_cap_parameters(path):
+    assert cap_parameters(_parse(path)) == []
 
 
 def test_cli_holds_no_claim_id():
@@ -111,3 +138,14 @@ def test_guard_catches_violations():
     assert [line.split(" on ")[-1] for line in unbounded_caches(tree)] == ["a", "b", "c", "d"]
     tree = ast.parse('FIELDS = {"cor-2.5": "n_max_path"}\nNOTE = "cor-2.5 runs"\n')
     assert string_literals(tree, CLAIM_INFO) == ["line 1: 'cor-2.5'"]
+    tree = ast.parse(
+        "def solve(web, cap=24): pass\n"
+        "def walk(g, *, n_cap): pass\n"
+        "runner = lambda c, arc_cap: c\n"
+        "def enumerate_greedy(web, cap=24): pass\n"
+        "def check_greedy_equivalence(corpus, arc_cap=24): pass\n"
+        "def fine(web, capacity, max_arcs): pass\n"
+    )
+    assert cap_parameters(tree) == [
+        "line 1: solve(cap)", "line 2: walk(n_cap)", "line 3: <lambda>(arc_cap)",
+    ]

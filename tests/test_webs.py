@@ -105,7 +105,7 @@ class TestEnumerateWebs:
 
     def test_caps_and_connectivity(self):
         with pytest.raises(CapExceeded):
-            list(enumerate_webs(path_graph(3), n_cap=2))
+            enumerate_webs(path_graph(9))  # 9 > WEB_N_CAP, raised at the call
         with pytest.raises(CapExceeded):
             list(enumerate_webs(complete_graph(6)))  # 15 edges > 12
         with pytest.raises(GraphError):
@@ -172,9 +172,9 @@ class TestSolveLabellings:
     def test_one_solve_per_labelled_edge_set(self, monkeypatch):
         calls = []
 
-        def counting(web, cap):
+        def counting(web):
             calls.append(web)
-            return solve_exact(web, cap=cap)
+            return solve_exact(web)
 
         monkeypatch.setattr(webs, "solve_exact", counting)
         for base in (path_graph(4), cycle_graph(4), star_graph(4), complete_graph(4)):
@@ -201,15 +201,11 @@ class TestSolveLabellings:
 
         monkeypatch.setattr(webs, "solve_exact", no_solve)
         with pytest.raises(CapExceeded):
-            solve_labellings(path_graph(3), n_cap=2)
+            solve_labellings(path_graph(9))
         with pytest.raises(CapExceeded):
             solve_labellings(complete_graph(6))  # 15 edges > 12
         with pytest.raises(GraphError):
             solve_labellings(make_ugraph(3, [(1, 2)]))
-
-    def test_arc_cap_reaches_the_solver(self):
-        with pytest.raises(CapExceeded):
-            solve_labellings(path_graph(3), arc_cap=1)
 
 
 class TestAgainstPerWebSolves:
