@@ -9,46 +9,49 @@ deviation" adaptations are handled: the harness documents the measured
 grog-level numbers instead of asserting an interpretation of them.
 
 `_GROUPS` lists the claims that share one computation, in report order,
-each with the runner that checks them all from a `HarnessConfig` and a
-web corpus whose named-base webs are enumerated once per `run_claims`
-call; a group runs once when any of its claims is requested.  All
-sampling is driven by a seed recorded in the report, and the report is
-byte-reproducible for a fixed seed and caps.
+each with the runner that checks them all from a `HarnessConfig` and two
+memos local to one `run_claims` call: the web corpus, whose named-base
+webs are enumerated once, and the residual distribution of each base
+graph, solved once and shared by the path, cycle and thm-2.6 checks.
+The second memo keeps only the {grog number: web count} ints, no webs
+or witnesses.  A group runs once when any of its claims is requested.
+All sampling is driven by a seed recorded in the report, and the report
+is byte-reproducible for a fixed seed and caps.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .competition import check_theorem_1_1
 from .engine import (
     GREEDY_ARC_CAP,
-    PredationBatch,
-    Strategy,
     Web,
     enumerate_greedy,
     legal_predations,
-    new_state,
-    apply_batch,
+    random_maximal_strategy,
     run_strategy,
     solve_exact,
     strategy_to_json,
 )
 from .graphs import CapExceeded, Digraph, GraphError, UGraph, digraph_to_json
-from .jaco import build_jaco, jaconian_vertex, max_degree_vertices
+from .jaco import build_jaco, check_jaconian, max_degree_vertices
 from .webs import (
     WEB_N_CAP,
     automorphism_count,
     complete_graph,
     cycle_graph,
     enumerate_webs,
-    grog_number,
     path_graph,
     residual_distribution,
     star_graph,
     web_count_formula,
 )
+
+# base graph -> {grog number: web count}, as residual_distribution returns it
+Distribution = Callable[[UGraph], dict[int, int]]
 
 ASSERT = "assert"
 REPORT_ONLY = "report-only"
@@ -77,25 +80,26 @@ CLAIM_INFO = {
     "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2", None),
 }
 
-# (claim ids, runner(config, corpus) -> their reports), in report order;
-# corpus(seed, count) is the named-base webs plus `count` random webs.
+# (claim ids, runner(config, corpus, dist) -> their reports), in report order;
+# corpus(seed, count) is the named-base webs plus `count` random webs, and
+# dist(base) is residual_distribution(base), computed once per base.
 _GROUPS = (
-    (("thm-1.1",), lambda c, corpus: [check_competition_closed_form(c.n_max_thm11)]),
-    (("lemma-2.1",), lambda c, corpus: [
+    (("thm-1.1",), lambda c, corpus, dist: [check_competition_closed_form(c.n_max_thm11)]),
+    (("lemma-2.1",), lambda c, corpus, dist: [
         check_exit_lemma(corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 1)]),
-    (("lemma-2.2", "lemma-2.3"), lambda c, corpus: check_parity_and_arc_count(
+    (("lemma-2.2", "lemma-2.3"), lambda c, corpus, dist: check_parity_and_arc_count(
         corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
-    (("prop-2.4",), lambda c, corpus: [check_path_extension_report(c.n_max_path)]),
-    (("cor-2.5",), lambda c, corpus: [check_path_recursion(c.n_max_path)]),
-    (("thm-2.6",), lambda c, corpus: [check_orientation_divergence()]),
-    (("prop-2.7", "cor-2.8"), lambda c, corpus: check_cycle_relations(c.n_max_cycle)),
+    (("prop-2.4",), lambda c, corpus, dist: [check_path_extension_report(c.n_max_path, dist)]),
+    (("cor-2.5",), lambda c, corpus, dist: [check_path_recursion(c.n_max_path, dist)]),
+    (("thm-2.6",), lambda c, corpus, dist: [check_orientation_divergence(distribution=dist)]),
+    (("prop-2.7", "cor-2.8"), lambda c, corpus, dist: check_cycle_relations(c.n_max_cycle, dist)),
     (("lemma-2.9", "prop-2.10", "cor-2.11"),
-     lambda c, corpus: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
-    (("obs-1", "obs-2"), lambda c, corpus: check_termination_and_determinism(
+     lambda c, corpus, dist: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
+    (("obs-1", "obs-2"), lambda c, corpus, dist: check_termination_and_determinism(
         corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
-    (("def-2.2-equivalence",), lambda c, corpus: [check_greedy_equivalence(
+    (("def-2.2-equivalence",), lambda c, corpus, dist: [check_greedy_equivalence(
         corpus(c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c, corpus: [check_web_count()]),
+    (("web-count",), lambda c, corpus, dist: [check_web_count()]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -200,23 +204,6 @@ def corpus_webs(config: HarnessConfig) -> list[Web]:
     return _with_random(_named_webs(), config.seed, config.random_webs)
 
 
-def random_maximal_strategy(web: Web, rng: random.Random) -> Strategy:
-    """Random batches until the game exits; deterministic given the rng."""
-    state = new_state(web)
-    batches: list[PredationBatch] = []
-    while True:
-        legal = sorted(legal_predations(state))
-        if not legal:
-            return tuple(batches)
-        tails = sorted({t for t, _ in legal})
-        pred = rng.choice(tails)
-        mine = [h for t, h in legal if t == pred]
-        ell = rng.randint(1, min(state.population(pred), len(mine)))
-        batch = PredationBatch(pred, rng.sample(mine, ell))
-        state = apply_batch(state, batch)
-        batches.append(batch)
-
-
 def _random_runs(corpus: list[Web], runs: int, seed: int):
     """Yield (web, strategy, result) for `runs` random maximal strategies per web.
 
@@ -300,8 +287,9 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int = GREEDY_ARC_CAP) -
     return _report("def-2.2-equivalence", _assert_status(failures), len(corpus), failures, values)
 
 
-def _family_grogs(family, n_max: int) -> dict[int, int]:
-    return {n: grog_number(family(n)).grog for n in range(3, n_max + 1)}
+def _family_grogs(family, n_max: int, distribution: Distribution) -> dict[int, int]:
+    """g(family(n)) for n = 3..n_max: the least grog number of any web."""
+    return {n: min(distribution(family(n))) for n in range(3, n_max + 1)}
 
 
 def _check_family_range(what: str, n_max: int) -> None:
@@ -314,10 +302,10 @@ def _check_family_range(what: str, n_max: int) -> None:
         )
 
 
-def check_path_recursion(n_max: int) -> ClaimReport:
+def check_path_recursion(n_max: int, distribution: Distribution | None = None) -> ClaimReport:
     """cor-2.5: brute-forced g(P_n) satisfies g(P_{n+1}) = g(P_n) + (n - 1)."""
     _check_family_range("path recursion", n_max)
-    g = _family_grogs(path_graph, n_max)
+    g = _family_grogs(path_graph, n_max, distribution or residual_distribution)
     failures = []
     for n in range(3, n_max):
         if g[n + 1] != g[n] + (n - 1):
@@ -331,20 +319,25 @@ def check_path_recursion(n_max: int) -> ClaimReport:
     return _report("cor-2.5", _assert_status(failures), max(0, n_max - 3), failures, values)
 
 
-def check_path_extension_report(n_max: int) -> ClaimReport:
+def check_path_extension_report(
+    n_max: int, distribution: Distribution | None = None
+) -> ClaimReport:
     """prop-2.4 (report-only): per-web grog histograms and extension deltas."""
     _check_family_range("path extension report", n_max)
-    g = _family_grogs(path_graph, n_max)
+    distribution = distribution or residual_distribution
+    g = _family_grogs(path_graph, n_max, distribution)
     per_web = {}
     for n in range(3, min(5, n_max) + 1):
-        hist = residual_distribution(path_graph(n))
+        hist = distribution(path_graph(n))
         per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
     values = {"per_web_grog": per_web, "extension_deltas": deltas}
     return _report("prop-2.4", "reported", len(per_web) + len(deltas), [], values)
 
 
-def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
+def check_cycle_relations(
+    n_max: int, distribution: Distribution | None = None
+) -> tuple[ClaimReport, ClaimReport]:
     """prop-2.7 and cor-2.8 (report-only): observed cycle deltas.
 
     These are per-strategy statements about minimally-deviated strategy
@@ -353,8 +346,9 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     observed sequences are recorded without assertion.
     """
     _check_family_range("cycle relations", n_max)
-    gc = _family_grogs(cycle_graph, n_max)
-    gp = _family_grogs(path_graph, n_max)
+    distribution = distribution or residual_distribution
+    gc = _family_grogs(cycle_graph, n_max, distribution)
+    gp = _family_grogs(path_graph, n_max, distribution)
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
     prop = _report(
@@ -397,10 +391,13 @@ def divergence_bases() -> list[tuple[str, UGraph]]:
     ]
 
 
-def check_orientation_divergence(bases: list[tuple[str, UGraph]] | None = None) -> ClaimReport:
+def check_orientation_divergence(
+    bases: list[tuple[str, UGraph]] | None = None, distribution: Distribution | None = None
+) -> ClaimReport:
     """thm-2.6: each base has two webs with distinct grog numbers (n >= 3)."""
     if bases is None:
         bases = divergence_bases()
+    distribution = distribution or residual_distribution
     failures = []
     values: dict = {"bases": {}}
     instances = 0
@@ -409,7 +406,7 @@ def check_orientation_divergence(bases: list[tuple[str, UGraph]] | None = None) 
         if base.n < 3:
             skipped.append(name)
             continue
-        distinct = list(residual_distribution(base))
+        distinct = list(distribution(base))
         lo, hi = distinct[0], distinct[-1]
         values["bases"][name] = {"min": lo, "max": hi, "distinct": distinct}
         instances += 1
@@ -426,8 +423,13 @@ def check_jaco_recursion(
     """lemma-2.9, prop-2.10 and cor-2.11 with exactly solved g(J_n(1))."""
     if n_max < 2:
         raise GraphError(f"Jaco recursion needs n_max >= 2, got {n_max}")
-    # top order first: a J_n past the solver's cap raises before any other work
-    g = {n: solve_exact(Web(build_jaco(n).digraph)).grog for n in range(n_max, 1, -1)}
+    # top order first: a J_n past the solver's cap raises before any other work;
+    # the solved orders are kept so that each J_n is built once
+    built = {}
+    g = {}
+    for n in range(n_max, 1, -1):
+        built[n] = build_jaco(n)
+        g[n] = solve_exact(Web(built[n].digraph)).grog
     if lemma29_n_max is None:
         lemma29_n_max = max(n_max, 40)
 
@@ -435,10 +437,11 @@ def check_jaco_recursion(
     lemma_failures = []
     divergences = []
     for n in range(2, lemma29_n_max + 1):
-        i = jaconian_vertex(n)
+        jg = built[n] if n in built else build_jaco(n)
+        i = check_jaconian(jg)
         if 2 * i - n < 0:
             lemma_failures.append({"n": n, "jaconian": i, "two_i_minus_n": 2 * i - n})
-        if min(max_degree_vertices(build_jaco(n))) != i:
+        if min(max_degree_vertices(jg)) != i:
             divergences.append(n)
     lemma = _report(
         "lemma-2.9",
@@ -451,7 +454,7 @@ def check_jaco_recursion(
         },
     )
 
-    jaconian = {n: jaconian_vertex(n) for n in range(2, n_max)}
+    jaconian = {n: check_jaconian(built[n]) for n in range(2, n_max)}
     rec_failures = []
     for n in range(2, n_max):
         i = jaconian[n]
@@ -605,18 +608,24 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
     named: list[Web] = []
+    distributions: dict[UGraph, dict[int, int]] = {}
 
     def corpus(seed: int, count: int) -> list[Web]:
         if not named:
             named.extend(_named_webs())
         return _with_random(named, seed, count)
 
+    def distribution(base: UGraph) -> dict[int, int]:
+        if base not in distributions:
+            distributions[base] = residual_distribution(base)
+        return distributions[base]
+
     reports: list[ClaimReport] = []
     for ids, runner in _GROUPS:
         if not wanted.intersection(ids):
             continue
         try:
-            group_reports = runner(config, corpus)
+            group_reports = runner(config, corpus, distribution)
         except GraphError as exc:
             group_reports = [
                 ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": str(exc)})

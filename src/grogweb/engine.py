@@ -27,6 +27,14 @@ maximum matching (the vertex-and-edge gadget of Tutte and Shiloach) and
 running Edmonds' blossom search on it.  The greedy counter still walks
 remaining-arc bitmasks, because greedy counts depend on the orientation.
 
+A move is checked and charged by one in-place step, `_play`, on a
+mutable population list: `apply_batch` wraps it to return a new frozen
+`GrogState`, while `run_strategy` and `random_maximal_strategy` play a
+whole strategy on one list and one arc set and build a `GrogState` only
+at the end.  `legal_predations` subtracts, from the remaining arcs, the
+arcs at every vertex of population 0, read off a per-web incidence table
+built once per `Web`.
+
 The exact solver's cost is its gadget, where each copy of v meets all
 deg(v) edge-vertices at v: SOLVER_GADGET_CAP bounds those copy edges,
 sum_v deg(v) * b(v), and no caller can move it.  The greedy counter's
@@ -35,7 +43,9 @@ cost is its 2^arcs masks, bounded by an arc cap (GREEDY_ARC_CAP).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -78,6 +88,15 @@ class Web:
     @property
     def total_population(self) -> int:
         return self.n * (self.n + 1) // 2
+
+    @cached_property
+    def incident_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The arcs at each vertex v, at position v - 1, in arc order."""
+        at: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for arc in self.digraph.arcs:
+            at[arc[0] - 1].append(arc)
+            at[arc[1] - 1].append(arc)
+        return tuple(map(tuple, at))
 
 
 @dataclass(frozen=True)
@@ -148,8 +167,37 @@ def legal_predations(state: GrogState) -> set[tuple[int, int]]:
 
     Empty exactly when the state is terminal.
     """
-    pop = state.pop
-    return {(t, h) for t, h in state.remaining if pop[t - 1] >= 1 and pop[h - 1] >= 1}
+    incident = state.web.incident_arcs
+    legal = set(state.remaining)
+    legal.difference_update(*(incident[k] for k, p in enumerate(state.pop) if p < 1))
+    return legal
+
+
+def _play(pop: list[int], remaining, batch: PredationBatch) -> list[tuple[int, int]]:
+    """Check one batch against `pop` and `remaining`, charge `pop` in place.
+
+    Raises IllegalBatchError naming the first violated precondition, in
+    this order: an arc that is not remaining, a predator short of
+    population, or exhausted prey; `pop` is untouched then.  Returns the
+    consumed arcs, which the caller removes from its remaining arcs.
+    """
+    pred = batch.predator
+    prey = sorted(batch.prey)
+    for p in prey:
+        if (pred, p) not in remaining:
+            raise IllegalBatchError(f"arc ({pred}, {p}) is not a remaining arc")
+    if pop[pred - 1] < len(prey):
+        raise IllegalBatchError(
+            f"predator v_{pred} has population {pop[pred - 1]}, "
+            f"cannot predate along {len(prey)} arcs"
+        )
+    for p in prey:
+        if pop[p - 1] < 1:
+            raise IllegalBatchError(f"prey v_{p} has population 0")
+    pop[pred - 1] -= len(prey)
+    for p in prey:
+        pop[p - 1] -= 1
+    return [(pred, p) for p in prey]
 
 
 def apply_batch(state: GrogState, batch: PredationBatch) -> GrogState:
@@ -159,25 +207,9 @@ def apply_batch(state: GrogState, batch: PredationBatch) -> GrogState:
     that is not remaining, a predator short of population, or exhausted
     prey.
     """
-    pred = batch.predator
-    ell = len(batch.prey)
-    for p in sorted(batch.prey):
-        if (pred, p) not in state.remaining:
-            raise IllegalBatchError(f"arc ({pred}, {p}) is not a remaining arc")
-    if state.population(pred) < ell:
-        raise IllegalBatchError(
-            f"predator v_{pred} has population {state.population(pred)}, "
-            f"cannot predate along {ell} arcs"
-        )
-    for p in sorted(batch.prey):
-        if state.population(p) < 1:
-            raise IllegalBatchError(f"prey v_{p} has population 0")
     pop = list(state.pop)
-    pop[pred - 1] -= ell
-    for p in batch.prey:
-        pop[p - 1] -= 1
-    remaining = state.remaining - {(pred, p) for p in batch.prey}
-    return GrogState(state.web, remaining, tuple(pop))
+    consumed = _play(pop, state.remaining, batch)
+    return GrogState(state.web, state.remaining.difference(consumed), tuple(pop))
 
 
 def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> RunResult:
@@ -186,12 +218,14 @@ def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> Ru
     The final state is not required to be terminal unless require_exit
     is set, in which case a premature stop raises NonTerminalError.
     """
-    state = new_state(web)
+    pop = list(web.populations)
+    remaining = set(web.digraph.arcs)
     for step, batch in enumerate(strategy):
         try:
-            state = apply_batch(state, batch)
+            remaining.difference_update(_play(pop, remaining, batch))
         except IllegalBatchError as exc:
             raise IllegalBatchError(f"step {step}: {exc}", step=step) from None
+    state = GrogState(web, frozenset(remaining), tuple(pop))
     if require_exit:
         leftover = legal_predations(state)
         if leftover:
@@ -206,6 +240,31 @@ def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> Ru
         predation_count=len(used),
         used_arcs=used,
     )
+
+
+def random_maximal_strategy(web: Web, rng: random.Random) -> Strategy:
+    """Random batches until the game exits; deterministic given the rng.
+
+    Each step picks a predator uniformly among the tails of the legal
+    arcs, then a uniform batch size up to what it may take, then that
+    many of its legal prey.  Legal arcs are kept in `Digraph.arcs`
+    order, which is sorted, and an arc that stops being legal never
+    becomes legal again, so each step filters the previous step's list.
+    """
+    pop = list(web.populations)
+    remaining = set(web.digraph.arcs)
+    legal = list(web.digraph.arcs)
+    batches: list[PredationBatch] = []
+    while True:
+        legal = [(t, h) for t, h in legal if (t, h) in remaining and pop[t - 1] and pop[h - 1]]
+        if not legal:
+            return tuple(batches)
+        pred = rng.choice(list(dict.fromkeys(t for t, _ in legal)))
+        mine = [h for t, h in legal if t == pred]
+        ell = rng.randint(1, min(pop[pred - 1], len(mine)))
+        batch = PredationBatch(pred, rng.sample(mine, ell))
+        remaining.difference_update(_play(pop, remaining, batch))
+        batches.append(batch)
 
 
 def _blossom_base(base, parent, mate, a: int, b: int) -> int:

@@ -21,8 +21,9 @@ sum is d^-(v_i) by the time tail i reads it.
 The Jaconian vertex v_i of J_n(1) is recovered from the extension step:
 going to order n + 1 adds exactly the arcs (v_{i+1}, v_{n+1}) through
 (v_n, v_{n+1}), so i = n - d^-(v_{n+1}) where the in-degree is taken in
-J_{n+1}(1).  Construction sanity is asserted on every query:
-i + d^+(v_i) must be n or n - 1, and 2i - n must be non-negative.
+J_{n+1}(1).  Construction sanity is checked on every query, by
+check_jaconian on an already-built graph: i + d^+(v_i) must be n or
+n - 1, and 2i - n must be non-negative.
 """
 
 from __future__ import annotations
@@ -96,16 +97,21 @@ def build_jaco(n: int) -> JacoGraph:
 
 
 def jaconian_vertex(n: int) -> int:
-    """Index i of the Jaconian vertex of J_n(1), n >= 2.
+    """Index i of the Jaconian vertex of J_n(1), n >= 2, checked."""
+    if type(n) is not int or n < 2:
+        raise GraphError(f"Jaconian vertex needs n >= 2, got {n!r}")
+    return check_jaconian(build_jaco(n))
+
+
+def check_jaconian(jg: JacoGraph) -> int:
+    """The Jaconian vertex of a built J_n(1), n >= 2, after checking it.
 
     Raises RuntimeError if the construction invariants fail, which would
     signal a bug in build_jaco rather than bad input.
     """
-    if type(n) is not int or n < 2:
+    n, i = jg.n, jg.jaconian
+    if i is None:
         raise GraphError(f"Jaconian vertex needs n >= 2, got {n!r}")
-    jg = build_jaco(n)
-    i = jg.jaconian
-    assert i is not None
     reach = i + jg.out_deg[i - 1]
     if reach not in (n - 1, n):
         raise RuntimeError(

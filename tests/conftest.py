@@ -54,6 +54,13 @@ EXAMPLE1_WEBS = [
 ]
 
 
+def oracle_legal_predations(state) -> set[tuple[int, int]]:
+    """Remaining arcs whose both endpoints have population >= 1, by the
+    literal scan over the remaining arcs."""
+    pop = state.pop
+    return {(t, h) for t, h in state.remaining if pop[t - 1] >= 1 and pop[h - 1] >= 1}
+
+
 def oracle_grog(web: Web) -> int:
     """Minimum residual by plain DFS over ALL legal single-predation
     sequences; exponential and memo-free on purpose."""

@@ -6,6 +6,8 @@ import pytest
 
 import grogweb.claims as claims
 import grogweb.engine as engine
+import grogweb.jaco as jaco
+import grogweb.webs as webs
 from grogweb.claims import (
     CLAIM_INFO,
     CLAIM_ORDER,
@@ -74,7 +76,6 @@ class TestPathAndCycle:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumerated before the cap check")
 
-        monkeypatch.setattr(claims, "grog_number", no_enumeration)
         monkeypatch.setattr(claims, "residual_distribution", no_enumeration)
         for check in (check_path_recursion, check_path_extension_report, check_cycle_relations):
             with pytest.raises(CapExceeded):
@@ -131,6 +132,19 @@ class TestJacoClaims:
             check_jaco_recursion(95)
         assert solved == [95]
 
+    def test_each_order_is_built_once(self, monkeypatch):
+        built = []
+        real = jaco.build_jaco
+
+        def counting(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(jaco, "build_jaco", counting)
+        monkeypatch.setattr(claims, "build_jaco", counting)
+        check_jaco_recursion(7, lemma29_n_max=40)
+        assert sorted(built) == list(range(2, 41))
+
 
 class TestDivergence:
     def test_honest_failure_on_symmetric_bases(self):
@@ -165,15 +179,16 @@ class TestHarnessSanity:
     def test_fault_injection_is_caught(self, monkeypatch):
         """An engine corrupted by an off-by-one in the population update
         must trip the parity and arc-count claims with counterexamples."""
-        real = engine.apply_batch
+        real = engine._play
 
-        def corrupted(state, batch):
-            nxt = real(state, batch)
-            pop = list(nxt.pop)
+        def corrupted(pop, remaining, batch):
+            consumed = real(pop, remaining, batch)
             pop[batch.predator - 1] += 1
-            return dataclasses.replace(nxt, pop=tuple(pop))
+            return consumed
 
-        monkeypatch.setattr(engine, "apply_batch", corrupted)
+        # every move, in random_maximal_strategy, run_strategy and apply_batch, goes
+        # through the one in-place step
+        monkeypatch.setattr(engine, "_play", corrupted)
         parity, count = check_parity_and_arc_count(p3_webs(), runs=3, seed=4)
         assert parity.status == "fail"
         assert count.status == "fail"
@@ -235,6 +250,19 @@ class TestRunAll:
         run_all(SMALL)
         # P3, P4, C3, C4 once for the shared corpus, then web-count's five bases
         assert len(calls) == 9
+
+    def test_each_base_is_solved_once(self, monkeypatch):
+        calls = []
+        real = webs.solve_labellings
+
+        def counting(base):
+            calls.append(base)
+            return real(base)
+
+        monkeypatch.setattr(webs, "solve_labellings", counting)
+        run_all(SMALL)
+        # P3..P6 and C3..C6 for the path and cycle claims, star4 and K4 for thm-2.6
+        assert len(calls) == len(set(calls)) == 10
 
     def test_full_report(self):
         report = run_all(SMALL)

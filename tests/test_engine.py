@@ -7,22 +7,26 @@ from conftest import (
     EXAMPLE1_WEBS,
     oracle_greedy,
     oracle_grog,
+    oracle_legal_predations,
     oracle_max_consumable,
     oracle_solve,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grogweb.claims import random_connected_web, random_maximal_strategy
+from grogweb.claims import random_connected_web
 from grogweb.engine import (
+    GrogState,
     IllegalBatchError,
     NonTerminalError,
     PredationBatch,
+    RunResult,
     Web,
     apply_batch,
     enumerate_greedy,
     legal_predations,
     new_state,
+    random_maximal_strategy,
     run_result_to_json,
     run_strategy,
     solve_exact,
@@ -100,6 +104,16 @@ class TestApplyBatch:
         w = web(3, [(1, 2)])
         with pytest.raises(IllegalBatchError, match="not a remaining arc"):
             apply_batch(new_state(w), PredationBatch(1, (3,)))
+
+    def test_first_failed_check_names_the_error(self):
+        # after (1, 3) and (2, 3): v_1 is exhausted and v_2 is down to 1
+        w = web(4, [(1, 3), (2, 1), (2, 3), (2, 4)])
+        s = run_strategy(w, (PredationBatch(1, (3,)), PredationBatch(2, (3,)))).final_state
+        with pytest.raises(IllegalBatchError, match=r"arc \(2, 3\) is not a remaining arc"):
+            apply_batch(s, PredationBatch(2, (1, 3, 4)))
+        with pytest.raises(IllegalBatchError, match="predator v_2 has population 1"):
+            apply_batch(s, PredationBatch(2, (1, 4)))
+        assert s.pop == (0, 1, 1, 4)
 
     def test_empty_prey_rejected(self):
         with pytest.raises(GraphError):
@@ -312,6 +326,102 @@ def test_batches_equal_their_serialization(w, seed):
     assert a.final_state.pop == b.final_state.pop
     assert a.used_arcs == b.used_arcs
     assert a.residual == b.residual
+
+
+@st.composite
+def random_states(draw):
+    """A web with any subset of its arcs remaining and any populations 0..label."""
+    w = draw(random_webs(max_n=7, max_extra=8))
+    keep = draw(st.lists(st.booleans(), min_size=len(w.digraph.arcs),
+                         max_size=len(w.digraph.arcs)))
+    remaining = frozenset(a for a, k in zip(w.digraph.arcs, keep) if k)
+    pop = tuple(draw(st.integers(0, v)) for v in range(1, w.n + 1))
+    return GrogState(w, remaining, pop)
+
+
+@given(random_states())
+@settings(max_examples=150, deadline=None)
+def test_legal_predations_equals_literal_scan(state):
+    legal = legal_predations(state)
+    assert type(legal) is set
+    assert legal == oracle_legal_predations(state)
+
+
+@given(random_webs(), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_legal_predations_along_a_run(w, seed):
+    state = new_state(w)
+    for batch in random_maximal_strategy(w, random.Random(seed)):
+        assert legal_predations(state) == oracle_legal_predations(state)
+        state = apply_batch(state, batch)
+    assert legal_predations(state) == oracle_legal_predations(state) == set()
+
+
+def fold_apply_batch(w, strategy):
+    """run_strategy's result by folding apply_batch, or (step, message)
+    of the first illegal batch."""
+    state = new_state(w)
+    for step, batch in enumerate(strategy):
+        try:
+            state = apply_batch(state, batch)
+        except IllegalBatchError as exc:
+            return step, str(exc)
+    used = frozenset(w.digraph.arcs) - state.remaining
+    return RunResult(state, sum(state.pop), len(used), used)
+
+
+@st.composite
+def corrupted_strategies(draw):
+    """A random maximal strategy with one arbitrary batch inserted.
+
+    The inserted batch may name a missing or consumed arc, or leave a
+    later predator short of population or a later prey exhausted.
+    """
+    w = draw(random_webs())
+    strategy = list(random_maximal_strategy(w, random.Random(draw(st.integers(0, 10_000)))))
+    pred = draw(st.integers(1, w.n))
+    others = [v for v in range(1, w.n + 1) if v != pred]
+    prey = draw(st.sets(st.sampled_from(others), min_size=1))
+    strategy.insert(draw(st.integers(0, len(strategy))), PredationBatch(pred, prey))
+    return w, tuple(strategy)
+
+
+def assert_run_equals_fold(w, strategy):
+    expected = fold_apply_batch(w, strategy)
+    if isinstance(expected, RunResult):
+        assert run_strategy(w, strategy) == expected
+        return None
+    step, message = expected
+    with pytest.raises(IllegalBatchError) as err:
+        run_strategy(w, strategy)
+    assert err.value.step == step
+    assert str(err.value) == f"step {step}: {message}"
+    return message
+
+
+@given(random_webs(), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_run_strategy_equals_folded_apply_batch(w, seed):
+    assert assert_run_equals_fold(w, random_maximal_strategy(w, random.Random(seed))) is None
+
+
+@given(corrupted_strategies())
+@example((example1_web(1), (PredationBatch(2, (3,)), PredationBatch(1, (3,)))))
+@example((example1_web(9), (PredationBatch(1, (2, 3)),)))
+@example((example1_web(8), (PredationBatch(2, (1,)), PredationBatch(3, (1,)))))
+@settings(max_examples=150, deadline=None)
+def test_corrupted_run_equals_folded_apply_batch(case):
+    assert_run_equals_fold(*case)
+
+
+@pytest.mark.parametrize("item, strategy, step, kind", [
+    (1, ((2, (3,)), (2, (3,))), 1, "arc (2, 3) is not a remaining arc"),
+    (9, ((1, (2, 3)),), 0, "predator v_1 has population 1, cannot predate along 2 arcs"),
+    (8, ((2, (1,)), (3, (1,))), 1, "prey v_1 has population 0"),
+])
+def test_each_corruption_kind_matches_the_fold(item, strategy, step, kind):
+    batches = tuple(PredationBatch(t, prey) for t, prey in strategy)
+    assert assert_run_equals_fold(example1_web(item), batches) == kind
 
 
 @given(random_webs())

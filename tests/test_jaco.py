@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from conftest import jaco_fixed_point_holds, oracle_jaco
 
 from grogweb.graphs import CapExceeded, GraphError
 from grogweb.jaco import (
     build_jaco,
+    check_jaconian,
     jaco_to_json,
     jaconian_vertex,
     max_degree_vertices,
@@ -88,6 +91,15 @@ class TestJaconian:
     def test_domain(self):
         with pytest.raises(GraphError):
             jaconian_vertex(1)
+        with pytest.raises(GraphError):
+            check_jaconian(build_jaco(1))
+
+    def test_check_on_a_built_graph(self):
+        jg = build_jaco(5)
+        assert check_jaconian(jg) == jaconian_vertex(5) == 3
+        # v_3 reaching only itself breaks i + d+(v_i) in {n - 1, n}
+        with pytest.raises(RuntimeError, match="i \\+ d\\+"):
+            check_jaconian(dataclasses.replace(jg, out_deg=(1, 1, 0, 1, 0)))
 
     def test_order_1_has_no_jaconian(self):
         assert build_jaco(1).jaconian is None
