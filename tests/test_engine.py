@@ -347,16 +347,6 @@ def test_legal_predations_equals_literal_scan(state):
     assert legal == oracle_legal_predations(state)
 
 
-@given(random_webs(), st.integers(0, 10_000))
-@settings(max_examples=40, deadline=None)
-def test_legal_predations_along_a_run(w, seed):
-    state = new_state(w)
-    for batch in random_maximal_strategy(w, random.Random(seed)):
-        assert legal_predations(state) == oracle_legal_predations(state)
-        state = apply_batch(state, batch)
-    assert legal_predations(state) == oracle_legal_predations(state) == set()
-
-
 def fold_apply_batch(w, strategy):
     """run_strategy's result by folding apply_batch, or (step, message)
     of the first illegal batch."""
@@ -406,9 +396,6 @@ def test_run_strategy_equals_folded_apply_batch(w, seed):
 
 
 @given(corrupted_strategies())
-@example((example1_web(1), (PredationBatch(2, (3,)), PredationBatch(1, (3,)))))
-@example((example1_web(9), (PredationBatch(1, (2, 3)),)))
-@example((example1_web(8), (PredationBatch(2, (1,)), PredationBatch(3, (1,)))))
 @settings(max_examples=150, deadline=None)
 def test_corrupted_run_equals_folded_apply_batch(case):
     assert_run_equals_fold(*case)
