@@ -10,9 +10,10 @@ grog-level numbers instead of asserting an interpretation of them.
 
 `_GROUPS` lists the claims that share one computation, in report order,
 each with the runner that checks them all from a `HarnessConfig` and two
-memos local to one `run_claims` call: the web corpus, whose named-base
-webs are enumerated once, and the residual distribution of each base
-graph, solved once and shared by the path, cycle and thm-2.6 checks.
+memos local to one `run_claims` call: the deduplicated webs of each base
+graph, enumerated once and shared by the web corpus and the web-count
+check, and the residual distribution of each base graph, solved once and
+shared by the path, cycle and thm-2.6 checks.
 The second memo keeps only the {grog number: web count} ints, no webs
 or witnesses.  A group runs once when any of its claims is requested.
 All sampling is driven by a seed recorded in the report, and the report
@@ -52,6 +53,8 @@ from .webs import (
 
 # base graph -> {grog number: web count}, as residual_distribution returns it
 Distribution = Callable[[UGraph], dict[int, int]]
+# base graph -> its webs, as enumerate_webs(base, dedup=True) yields them
+Webs = Callable[[UGraph], list[Web]]
 
 ASSERT = "assert"
 REPORT_ONLY = "report-only"
@@ -80,26 +83,27 @@ CLAIM_INFO = {
     "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2", None),
 }
 
-# (claim ids, runner(config, corpus, dist) -> their reports), in report order;
-# corpus(seed, count) is the named-base webs plus `count` random webs, and
-# dist(base) is residual_distribution(base), computed once per base.
+# (claim ids, runner(config, webs, dist) -> their reports), in report order;
+# webs(base) is the deduplicated webs of base, enumerated once per base, which
+# _corpus extends with random webs, and dist(base) is
+# residual_distribution(base), computed once per base.
 _GROUPS = (
-    (("thm-1.1",), lambda c, corpus, dist: [check_competition_closed_form(c.n_max_thm11)]),
-    (("lemma-2.1",), lambda c, corpus, dist: [
-        check_exit_lemma(corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 1)]),
-    (("lemma-2.2", "lemma-2.3"), lambda c, corpus, dist: check_parity_and_arc_count(
-        corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
-    (("prop-2.4",), lambda c, corpus, dist: [check_path_extension_report(c.n_max_path, dist)]),
-    (("cor-2.5",), lambda c, corpus, dist: [check_path_recursion(c.n_max_path, dist)]),
-    (("thm-2.6",), lambda c, corpus, dist: [check_orientation_divergence(distribution=dist)]),
-    (("prop-2.7", "cor-2.8"), lambda c, corpus, dist: check_cycle_relations(c.n_max_cycle, dist)),
+    (("thm-1.1",), lambda c, webs, dist: [check_competition_closed_form(c.n_max_thm11)]),
+    (("lemma-2.1",), lambda c, webs, dist: [
+        check_exit_lemma(_corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 1)]),
+    (("lemma-2.2", "lemma-2.3"), lambda c, webs, dist: check_parity_and_arc_count(
+        _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
+    (("prop-2.4",), lambda c, webs, dist: [check_path_extension_report(c.n_max_path, dist)]),
+    (("cor-2.5",), lambda c, webs, dist: [check_path_recursion(c.n_max_path, dist)]),
+    (("thm-2.6",), lambda c, webs, dist: [check_orientation_divergence(distribution=dist)]),
+    (("prop-2.7", "cor-2.8"), lambda c, webs, dist: check_cycle_relations(c.n_max_cycle, dist)),
     (("lemma-2.9", "prop-2.10", "cor-2.11"),
-     lambda c, corpus, dist: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
-    (("obs-1", "obs-2"), lambda c, corpus, dist: check_termination_and_determinism(
-        corpus(c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
-    (("def-2.2-equivalence",), lambda c, corpus, dist: [check_greedy_equivalence(
-        corpus(c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c, corpus, dist: [check_web_count()]),
+     lambda c, webs, dist: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
+    (("obs-1", "obs-2"), lambda c, webs, dist: check_termination_and_determinism(
+        _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
+    (("def-2.2-equivalence",), lambda c, webs, dist: [check_greedy_equivalence(
+        _corpus(webs, c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
+    (("web-count",), lambda c, webs, dist: [check_web_count(webs=webs)]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -189,19 +193,20 @@ def random_connected_web(rng: random.Random, max_n: int = 7, max_arcs: int = 10)
     return Web(Digraph(n, arcs))
 
 
-def _named_webs() -> list[Web]:
-    return [web for _, base in _named_bases() for web in enumerate_webs(base, dedup=True)]
+def _dedup_webs(base: UGraph) -> list[Web]:
+    return list(enumerate_webs(base, dedup=True))
 
 
-def _with_random(named: list[Web], seed: int, count: int) -> list[Web]:
-    """`named` plus `count` random connected webs drawn from `seed`."""
+def _corpus(webs: Webs, seed: int, count: int) -> list[Web]:
+    """The named-base webs plus `count` random connected webs drawn from `seed`."""
     rng = random.Random(seed)
+    named = [web for _, base in _named_bases() for web in webs(base)]
     return named + [random_connected_web(rng) for _ in range(count)]
 
 
 def corpus_webs(config: HarnessConfig) -> list[Web]:
     """Named small-base webs plus seeded random connected webs."""
-    return _with_random(_named_webs(), config.seed, config.random_webs)
+    return _corpus(_dedup_webs, config.seed, config.random_webs)
 
 
 def _random_runs(corpus: list[Web], runs: int, seed: int):
@@ -528,7 +533,9 @@ def check_termination_and_determinism(
     )
 
 
-def check_web_count(bases: list[tuple[str, UGraph]] | None = None) -> ClaimReport:
+def check_web_count(
+    bases: list[tuple[str, UGraph]] | None = None, webs: Webs | None = None
+) -> ClaimReport:
     """web-count: dedup count vs the half-formula.
 
     Equality is asserted only for bases with exactly 2 automorphisms;
@@ -537,11 +544,12 @@ def check_web_count(bases: list[tuple[str, UGraph]] | None = None) -> ClaimRepor
     """
     if bases is None:
         bases = _named_bases() + [("K2", path_graph(2))]
+    webs = webs or _dedup_webs
     failures = []
     values: dict = {"bases": {}}
     for name, base in bases:
         formula = web_count_formula(base.n, len(base.edges))
-        dedup = sum(1 for _ in enumerate_webs(base, dedup=True))
+        dedup = len(webs(base))
         aut = automorphism_count(base)
         entry = {"formula": formula, "dedup": dedup, "aut": aut}
         if aut == 2:
@@ -607,13 +615,13 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
     if unknown:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
-    named: list[Web] = []
+    deduped: dict[UGraph, list[Web]] = {}
     distributions: dict[UGraph, dict[int, int]] = {}
 
-    def corpus(seed: int, count: int) -> list[Web]:
-        if not named:
-            named.extend(_named_webs())
-        return _with_random(named, seed, count)
+    def webs(base: UGraph) -> list[Web]:
+        if base not in deduped:
+            deduped[base] = _dedup_webs(base)
+        return deduped[base]
 
     def distribution(base: UGraph) -> dict[int, int]:
         if base not in distributions:
@@ -625,7 +633,7 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         if not wanted.intersection(ids):
             continue
         try:
-            group_reports = runner(config, corpus, distribution)
+            group_reports = runner(config, webs, distribution)
         except GraphError as exc:
             group_reports = [
                 ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": str(exc)})

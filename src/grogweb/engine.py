@@ -24,8 +24,12 @@ arc's endpoints are still positive when it is played.  The largest such
 set is a maximum simple b-matching with b(v) = min(v, deg v), which the
 exact solver finds in polynomial time by reducing it to an ordinary
 maximum matching (the vertex-and-edge gadget of Tutte and Shiloach) and
-running Edmonds' blossom search on it.  The greedy counter still walks
-remaining-arc bitmasks, because greedy counts depend on the orientation.
+running Edmonds' blossom search on it.  The greedy counter walks
+remaining-arc bitmasks instead, because greedy counts depend on the
+orientation.  It keeps one incidence mask and one out-arc mask per
+vertex, so the populations, the legal arcs and each tail's legal
+out-arcs of a mask cost a few big-int operations per vertex, not a pass
+over the arcs.
 
 A move is checked and charged by one in-place step, `_play`, on a
 mutable population list: `apply_batch` wraps it to return a new frozen
@@ -476,6 +480,17 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
     per choice of WHICH L arcs when the population is the binding limit.
     A predator's population never recovers, so blocks have pairwise
     distinct predators and the string determines the block structure.
+
+    The walk is memoised, within one call, on the bitmask of remaining
+    arcs, and works on whole masks.  Each vertex has an incidence mask and
+    an out-arc mask, built once.  Only a vertex that meets more arcs than
+    its label can run out of population or be bound by it, so only those
+    populations are computed: the label minus the consumed arcs in the
+    incidence mask.  The incidence masks of the vertices at population 0
+    are cleared from the remaining mask in one step, which leaves the
+    legal arcs, and a tail's legal out-arcs are its out-arc mask within
+    them.  A tail that may take all of its legal out-arcs has a single
+    branch.  Terminal masks are not memoised.
     """
     arcs = web.digraph.arcs
     eps = len(arcs)
@@ -483,51 +498,58 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
         raise CapExceeded(f"{eps} arcs exceed the greedy cap {cap}")
     n = web.n
     inc = [0] * (n + 1)
+    out = [0] * (n + 1)
     for k, (t, h) in enumerate(arcs):
         inc[t] |= 1 << k
         inc[h] |= 1 << k
+        out[t] |= 1 << k
+    tight = [(v, inc[v]) for v in range(1, n + 1) if inc[v].bit_count() > v]
+    tails = [(t, out[t]) for t in range(1, n + 1) if out[t]]
+    fact = [factorial(k) for k in range(eps + 1)]
     full = (1 << eps) - 1
     total = web.total_population
-    tails = [a[0] for a in arcs]
     memo: dict[int, tuple[int, int]] = {}
 
     def walk(mask: int) -> tuple[int, int]:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
+        """(count, min residual) from `mask`, which the caller found unmemoised."""
         used = full ^ mask
-        pops = [0] * (n + 1)
-        for v in range(1, n + 1):
-            pops[v] = v - (used & inc[v]).bit_count()
-        by_tail: dict[int, list[int]] = {}
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            k = low.bit_length() - 1
-            t = tails[k]
-            if pops[t] >= 1 and pops[arcs[k][1]] >= 1:
-                by_tail.setdefault(t, []).append(k)
-        if not by_tail:
-            result = (1, total - 2 * used.bit_count())
-        else:
-            count = 0
-            best_res = None
-            for t in sorted(by_tail):
-                legal = by_tail[t]
-                ell = min(pops[t], len(legal))
-                mult = factorial(ell)
-                for chosen in combinations(legal, ell):
-                    bits = 0
-                    for k in chosen:
-                        bits |= 1 << k
-                    sub_count, sub_res = walk(mask ^ bits)
-                    count += sub_count * mult
-                    if best_res is None or sub_res < best_res:
-                        best_res = sub_res
-            result = (count, best_res)
-        memo[mask] = result
-        return result
+        dead = 0
+        pop = {}
+        for v, at in tight:
+            p = v - (used & at).bit_count()
+            if p < 1:
+                dead |= at
+            else:
+                pop[v] = p
+        legal = mask & ~dead
+        if not legal:
+            return 1, total - 2 * used.bit_count()
+        count = 0
+        best = total
+        for t, mine in tails:
+            mine &= legal
+            if not mine:
+                continue
+            size = mine.bit_count()
+            ell = min(pop.get(t, size), size)
+            if ell == size:
+                choices = (mine,)
+            else:
+                bits = []
+                while mine:
+                    low = mine & -mine
+                    bits.append(low)
+                    mine ^= low
+                choices = map(sum, combinations(bits, ell))
+            mult = fact[ell]
+            for chosen in choices:
+                child = mask ^ chosen
+                sub_count, sub_res = memo.get(child) or walk(child)
+                count += sub_count * mult
+                if sub_res < best:
+                    best = sub_res
+        memo[mask] = count, best
+        return count, best
 
     count, min_residual = walk(full)
     return GreedyResult(count=count, min_residual=min_residual)

@@ -248,8 +248,8 @@ class TestRunAll:
 
         monkeypatch.setattr(claims, "enumerate_webs", counting)
         run_all(SMALL)
-        # P3, P4, C3, C4 once for the shared corpus, then web-count's five bases
-        assert len(calls) == 9
+        # P3, P4, C3, C4 once, shared by the corpus and web-count, then K2 for web-count
+        assert len(calls) == len(set(calls)) == 5
 
     def test_each_base_is_solved_once(self, monkeypatch):
         calls = []

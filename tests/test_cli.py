@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import time
 from collections import Counter
@@ -331,6 +332,25 @@ def test_enumerate_matches_per_web_solves(capsys, family, n, base, dedup, fmt):
     argv = ["enumerate", "--graph", family, "--n", str(n), "--distribution", "--format", fmt]
     assert cli.main(argv + (["--dedup"] if dedup else [])) == 0
     assert capsys.readouterr().out == per_web_enumerate_output(base, dedup, fmt)
+
+
+# sha256 of the stdout of `grogweb enumerate --graph G --n N --dedup --distribution
+# --format json`, whose per-web greedy counts the expected output above takes
+# from enumerate_greedy itself
+ENUMERATE_SHA256 = {
+    ("complete", 4): "497dbb9cfaf7a569c7d0f78e2f50d89daaf64bfc464542807515218bfef85943",
+    ("cycle", 5): "4766e03f7a75018e42d11f768aac118a724ae9cd6dc16dbc236959b63641f212",
+    ("star", 5): "a0233bf34a813d16a91cc296a03a97e0674b28979deb879ccfd31a056a73481a",
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(ENUMERATE_SHA256))
+def test_enumerate_greedy_output_is_pinned(capsys, family, n):
+    argv = ["enumerate", "--graph", family, "--n", str(n), "--dedup", "--distribution",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == ENUMERATE_SHA256[family, n]
 
 
 # the HarnessConfig field that --n-max sets for each range claim

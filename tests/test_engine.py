@@ -263,6 +263,14 @@ class TestEnumerateGreedy:
         with pytest.raises(CapExceeded):
             enumerate_greedy(Web(build_jaco(7).digraph), cap=5)
 
+    def test_jaco_table_is_pinned(self):
+        expected = [
+            (1, 1), (2, 2), (6, 4), (48, 5), (480, 7), (17280, 8), (725760, 10),
+            (34836480, 13), (7524679680, 15),
+        ]
+        got = [enumerate_greedy(Web(build_jaco(n).digraph)) for n in range(2, 11)]
+        assert [(g.count, g.min_residual) for g in got] == expected
+
 
 @st.composite
 def random_webs(draw, max_n=5, max_extra=3):
@@ -409,6 +417,41 @@ def test_corrupted_run_equals_folded_apply_batch(case):
 def test_each_corruption_kind_matches_the_fold(item, strategy, step, kind):
     batches = tuple(PredationBatch(t, prey) for t, prey in strategy)
     assert assert_run_equals_fold(example1_web(item), batches) == kind
+
+
+@st.composite
+def greedy_webs(draw):
+    """Webs of n <= 6 and <= 7 arcs: random connected ones, stars centred on
+    v_1 or v_2 with up to two extra leaf edges, and orientations of K_4.
+    Stars and K_4 make a low-labelled predator face more legal prey than its
+    population, so the walk has to choose which arcs it takes."""
+    shape = draw(st.sampled_from(["random", "star", "k4"]))
+    if shape == "random":
+        return draw(random_webs(max_n=6, max_extra=2))
+    if shape == "k4":
+        edges = list(itertools.combinations(range(1, 5), 2))
+        n = 4
+    else:
+        n = draw(st.integers(3, 6))
+        centre = draw(st.sampled_from([1, 2]))
+        edges = [tuple(sorted((centre, v))) for v in range(1, n + 1) if v != centre]
+        pool = [e for e in itertools.combinations(range(1, n + 1), 2) if centre not in e]
+        edges += draw(st.lists(st.sampled_from(pool), unique=True, max_size=2))
+    bits = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Web(Digraph(n, tuple(sorted(
+        (u, v) if keep else (v, u) for (u, v), keep in zip(edges, bits)
+    ))))
+
+
+@given(greedy_webs())
+@example(web(5, [(1, 2), (1, 3), (1, 4), (1, 5)]))
+@example(web(6, [(2, 1), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (5, 6)]))
+@example(web(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]))
+@example(web(4, [(2, 1), (2, 3), (2, 4), (3, 1), (4, 1), (4, 3)]))
+@settings(max_examples=150, deadline=None)
+def test_greedy_counter_equals_literal_oracle(w):
+    got = enumerate_greedy(w)
+    assert (got.count, got.min_residual) == oracle_greedy(w)
 
 
 @given(random_webs())
