@@ -16,8 +16,14 @@ check, and the residual distribution of each base graph, solved once and
 shared by the path, cycle and thm-2.6 checks.
 The second memo keeps only the {grog number: web count} ints, no webs
 or witnesses.  A group runs once when any of its claims is requested.
-All sampling is driven by a seed recorded in the report, and the report
-is byte-reproducible for a fixed seed and caps.
+
+The lemma-2.1, lemma-2.2/2.3 and obs-1/obs-2 groups check seeded random
+maximal strategies.  Each is drawn and played once, by
+`random_maximal_run`, and that play is the result the checks read; obs-2
+alone replays each run with `run_strategy` and compares the replay with
+the drawn play, so two code paths must agree.  All sampling is driven
+by a seed recorded in the report, and the report is byte-reproducible
+for a fixed seed and caps.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .engine import (
     Web,
     enumerate_greedy,
     legal_predations,
-    random_maximal_strategy,
+    random_maximal_run,
     run_strategy,
     solve_exact,
     strategy_to_json,
@@ -213,12 +219,12 @@ def _random_runs(corpus: list[Web], runs: int, seed: int):
     """Yield (web, strategy, result) for `runs` random maximal strategies per web.
 
     One rng drawn from `seed` serves every run, web by web in corpus order.
+    The result is the draw's own play, so no run is replayed here.
     """
     rng = random.Random(seed)
     for web in corpus:
         for _ in range(runs):
-            strategy = random_maximal_strategy(web, rng)
-            yield web, strategy, run_strategy(web, strategy)
+            yield web, *random_maximal_run(web, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +507,11 @@ def check_jaco_recursion(
 def check_termination_and_determinism(
     corpus: list[Web], runs: int, seed: int
 ) -> tuple[ClaimReport, ClaimReport]:
-    """obs-1 (termination within eps events) and obs-2 (replay determinism)."""
+    """obs-1 (termination within eps events) and obs-2 (replay determinism).
+
+    obs-2 compares one `run_strategy` replay of each drawn strategy with
+    the play `random_maximal_run` made while drawing it.
+    """
     term_failures = []
     det_failures = []
     for web, strategy, first in _random_runs(corpus, runs, seed):

@@ -15,9 +15,11 @@ closed form: take the undirected subgraph induced by v_3 .. v_{n-1},
 remove the edge from each v_i (3 <= i <= n-2) to its furthest
 out-neighbor v_{i + d+(v_i)} whenever that endpoint still lies inside
 the induced range, and re-attach v_1, v_2, v_n as isolated vertices.
-It uses no bitsets: Jaco arcs point upward and arrive sorted by (tail,
-head), so filtering them yields the sorted edge tuple directly, and the
-kept arc tuples serve as the edge tuples.
+It uses no bitsets and tests no arc: Jaco arcs point upward and arrive
+sorted by (tail, head), each tail's out-arcs form one contiguous run,
+and the edges of v_i, i >= 3, are its run minus the last arc.  Joining
+those slices of the arc tuple yields the sorted edge tuple directly, so
+the kept arc tuples serve as the edge tuples.
 check_theorem_1_1 compares the two routes edge for edge, on one J_n per
 order.
 """
@@ -82,18 +84,29 @@ def jaco_competition_closed_form(n: int) -> CompetitionGraph:
 
 
 def _closed_form(jg: JacoGraph) -> CompetitionGraph:
-    """The closed form read off an already built J_n(1), n >= 5."""
-    n = jg.n
-    out_deg = jg.out_deg
+    """The closed form read off an already built J_n(1), n >= 5.
+
+    Tail t's out-arcs are the contiguous run (t, t+1) .. (t, t + d+(v_t))
+    of the sorted arcs.  Its last arc is the deleted far edge when
+    t + d+(v_t) <= n - 1, and otherwise reaches v_n, outside the induced
+    range; either way the edges of t >= 3 are its run minus the last arc,
+    and the kept arc tuples are the edges themselves.  Those edges cover
+    v_t .. v_{t + d+(v_t) - 1} when d+(v_t) >= 2, and every vertex outside
+    these intervals is isolated.
+    """
     arcs = jg.digraph.arcs
-    # t >= 3 and h <= n - 1 with t < h keep both endpoints in v_3 .. v_{n-1};
-    # the kept arc tuples are the edges themselves
-    edges = tuple(compress(arcs, [
-        t >= 3 and h < n and h != t + out_deg[t - 1] for t, h in arcs
-    ]))
-    touched = set(chain.from_iterable(edges))
-    isolated = tuple(v for v in range(1, n + 1) if v not in touched)
-    return CompetitionGraph(UGraph(n, edges), isolated)
+    runs = []
+    isolated = []
+    start = 0
+    reach = 0
+    for t, d in enumerate(jg.out_deg, 1):
+        if t >= 3 and d >= 2:
+            runs.append(arcs[start:start + d - 1])
+            reach = max(reach, t + d - 1)
+        if t > reach:
+            isolated.append(t)
+        start += d
+    return CompetitionGraph(UGraph(jg.n, tuple(chain.from_iterable(runs))), tuple(isolated))
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,13 @@ over the arcs.
 
 A move is checked and charged by one in-place step, `_play`, on a
 mutable population list: `apply_batch` wraps it to return a new frozen
-`GrogState`, while `run_strategy` and `random_maximal_strategy` play a
-whole strategy on one list and one arc set and build a `GrogState` only
-at the end.  `legal_predations` subtracts, from the remaining arcs, the
-arcs at every vertex of population 0, read off a per-web incidence table
-built once per `Web`.
+`GrogState`, while `run_strategy` and `random_maximal_run` play a whole
+strategy on one list and one arc set and build the final `GrogState` and
+`RunResult` only at the end, in one shared helper.  `random_maximal_run`
+draws each batch from the state of its own play, so a drawn strategy
+comes with its result and needs no replay.  `legal_predations`
+subtracts, from the remaining arcs, the arcs at every vertex of
+population 0, read off a per-web incidence table built once per `Web`.
 
 The exact solver's cost is its gadget, where each copy of v meets all
 deg(v) edge-vertices at v: SOLVER_GADGET_CAP bounds those copy edges,
@@ -216,6 +218,17 @@ def apply_batch(state: GrogState, batch: PredationBatch) -> GrogState:
     return GrogState(state.web, state.remaining.difference(consumed), tuple(pop))
 
 
+def _result(web: Web, pop: list[int], remaining: set[tuple[int, int]]) -> RunResult:
+    """The RunResult of a play that left `pop` and `remaining`."""
+    used = frozenset(web.digraph.arcs).difference(remaining)
+    return RunResult(
+        final_state=GrogState(web, frozenset(remaining), tuple(pop)),
+        residual=sum(pop),
+        predation_count=len(used),
+        used_arcs=used,
+    )
+
+
 def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> RunResult:
     """Apply batches in order; pure and deterministic.
 
@@ -229,44 +242,41 @@ def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> Ru
             remaining.difference_update(_play(pop, remaining, batch))
         except IllegalBatchError as exc:
             raise IllegalBatchError(f"step {step}: {exc}", step=step) from None
-    state = GrogState(web, frozenset(remaining), tuple(pop))
+    result = _result(web, pop, remaining)
     if require_exit:
-        leftover = legal_predations(state)
+        leftover = legal_predations(result.final_state)
         if leftover:
             raise NonTerminalError(
                 f"strategy stops early: {len(leftover)} legal predation(s) remain",
                 step=len(strategy),
             )
-    used = frozenset(web.digraph.arcs) - state.remaining
-    return RunResult(
-        final_state=state,
-        residual=sum(state.pop),
-        predation_count=len(used),
-        used_arcs=used,
-    )
+    return result
 
 
-def random_maximal_strategy(web: Web, rng: random.Random) -> Strategy:
-    """Random batches until the game exits; deterministic given the rng.
+def random_maximal_run(web: Web, rng: random.Random) -> tuple[Strategy, RunResult]:
+    """A random maximal strategy and the result of playing it, from one play.
 
     Each step picks a predator uniformly among the tails of the legal
     arcs, then a uniform batch size up to what it may take, then that
-    many of its legal prey.  Legal arcs are kept in `Digraph.arcs`
-    order, which is sorted, and an arc that stops being legal never
-    becomes legal again, so each step filters the previous step's list.
+    many of its legal prey, and plays the batch through the same checks
+    as `run_strategy`; the result is the one `run_strategy(web, strategy,
+    require_exit=True)` returns.  Deterministic given the rng.  Legal
+    arcs are kept in `Digraph.arcs` order, which is sorted, and an arc
+    that stops being legal never becomes legal again, so each step
+    filters the previous step's list.
     """
     pop = list(web.populations)
     remaining = set(web.digraph.arcs)
     legal = list(web.digraph.arcs)
     batches: list[PredationBatch] = []
+    choice, randint, sample = rng.choice, rng.randint, rng.sample
     while True:
-        legal = [(t, h) for t, h in legal if (t, h) in remaining and pop[t - 1] and pop[h - 1]]
+        legal = [arc for arc in legal if arc in remaining and pop[arc[0] - 1] and pop[arc[1] - 1]]
         if not legal:
-            return tuple(batches)
-        pred = rng.choice(list(dict.fromkeys(t for t, _ in legal)))
+            return tuple(batches), _result(web, pop, remaining)
+        pred = choice(list(dict.fromkeys([t for t, _ in legal])))
         mine = [h for t, h in legal if t == pred]
-        ell = rng.randint(1, min(pop[pred - 1], len(mine)))
-        batch = PredationBatch(pred, rng.sample(mine, ell))
+        batch = PredationBatch(pred, sample(mine, randint(1, min(pop[pred - 1], len(mine)))))
         remaining.difference_update(_play(pop, remaining, batch))
         batches.append(batch)
 

@@ -169,6 +169,33 @@ def oracle_greedy(web: Web) -> tuple[int, int]:
     return count, best
 
 
+def oracle_random_maximal_strategy(web: Web, rng) -> Strategy:
+    """A random maximal strategy by the draw loop the harness first used.
+
+    Each step picks a predator uniformly among the tails of the legal
+    arcs, then a uniform batch size up to what it may take, then that
+    many of its legal prey.  The batch is charged inline, with no legality
+    check, since it is legal by construction.
+    """
+    pop = list(web.populations)
+    remaining = set(web.digraph.arcs)
+    legal = list(web.digraph.arcs)
+    batches = []
+    while True:
+        legal = [(t, h) for t, h in legal if (t, h) in remaining and pop[t - 1] and pop[h - 1]]
+        if not legal:
+            return tuple(batches)
+        pred = rng.choice(list(dict.fromkeys(t for t, _ in legal)))
+        mine = [h for t, h in legal if t == pred]
+        ell = rng.randint(1, min(pop[pred - 1], len(mine)))
+        prey = rng.sample(mine, ell)
+        pop[pred - 1] -= ell
+        for h in prey:
+            pop[h - 1] -= 1
+            remaining.discard((pred, h))
+        batches.append(PredationBatch(pred, prey))
+
+
 def oracle_competition_edges(d) -> set[tuple[int, int]]:
     """Competition edges by the literal triple scan over (u, w, z)."""
     edges = set()
@@ -219,6 +246,27 @@ def oracle_jaco(n: int):
         out_deg[t] += 1
     jaconian = n - dminus[n + 1] if n >= 2 else None
     return tuple(arcs), tuple(dminus[1:n + 1]), tuple(out_deg[1:]), jaconian
+
+
+def oracle_theorem_1_1(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(edges, isolated) of the Thm 1.1 closed form, read literally, on
+    oracle_jaco(n), n >= 5.
+
+    Take the underlying graph of the subgraph induced by v_3 .. v_{n-1};
+    for each i = 3 .. n - 2 remove the edge v_i v_{i + d+(v_i)} when
+    that vertex lies in v_3 .. v_{n-1}; add v_1, v_2, v_n.  A vertex is
+    isolated when no remaining edge meets it.
+    """
+    arcs, _, out_deg, _ = oracle_jaco(n)
+    inside = range(3, n)
+    edges = {(min(t, h), max(t, h)) for t, h in arcs if t in inside and h in inside}
+    for i in range(3, n - 1):
+        far = i + out_deg[i - 1]
+        if far in inside:
+            edges.discard((min(i, far), max(i, far)))
+    touched = {v for edge in edges for v in edge}
+    isolated = tuple(v for v in range(1, n + 1) if v not in touched)
+    return tuple(sorted(edges)), isolated
 
 
 def jaco_fixed_point_holds(digraph) -> bool:

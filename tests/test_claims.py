@@ -224,14 +224,24 @@ def test_report_bytes_are_pinned(seed):
 
 def test_random_runs_are_pinned(monkeypatch):
     # a passing report holds only counts, so pin the strategies it drew:
-    # every (web arcs, strategy) run_strategy sees in the three random-run groups
+    # every (web arcs, strategy) drawn in the three random-run groups, then
+    # the obs-2 replay of each obs-1 run
     runs = []
 
-    def recording(web, strategy, *args, **kwargs):
+    def record(web, strategy):
         runs.append([[list(arc) for arc in web.digraph.arcs], strategy_to_json(strategy)])
+
+    def drawing(web, rng):
+        strategy, result = engine.random_maximal_run(web, rng)
+        record(web, strategy)
+        return strategy, result
+
+    def replaying(web, strategy, *args, **kwargs):
+        record(web, strategy)
         return engine.run_strategy(web, strategy, *args, **kwargs)
 
-    monkeypatch.setattr(claims, "run_strategy", recording)
+    monkeypatch.setattr(claims, "random_maximal_run", drawing)
+    monkeypatch.setattr(claims, "run_strategy", replaying)
     run_claims(["lemma-2.1", "lemma-2.2", "obs-1"], HarnessConfig(seed=42))
     assert len(runs) == 7760
     digest = hashlib.sha256(json.dumps(runs).encode("utf-8")).hexdigest()
@@ -250,6 +260,19 @@ class TestRunAll:
         run_all(SMALL)
         # P3, P4, C3, C4 once, shared by the corpus and web-count, then K2 for web-count
         assert len(calls) == len(set(calls)) == 5
+
+    def test_each_random_run_is_replayed_once(self, monkeypatch):
+        calls = []
+
+        def counting(web, strategy, *args, **kwargs):
+            calls.append(strategy)
+            return engine.run_strategy(web, strategy, *args, **kwargs)
+
+        monkeypatch.setattr(claims, "run_strategy", counting)
+        run_all(HarnessConfig())
+        # only obs-2 replays: 194 corpus webs x 10 runs; the lemma-2.1,
+        # lemma-2.2/2.3 and obs-1 checks read the draw's own play
+        assert len(calls) == 1940
 
     def test_each_base_is_solved_once(self, monkeypatch):
         calls = []

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import oracle_competition_edges, oracle_isolated
+from conftest import oracle_competition_edges, oracle_isolated, oracle_theorem_1_1
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +110,11 @@ class TestClosedForm:
     def test_domain(self):
         with pytest.raises(GraphError):
             jaco_competition_closed_form(4)
+
+    def test_matches_the_theorem_statement(self):
+        for n in range(5, 151):
+            c = jaco_competition_closed_form(n)
+            assert (c.ugraph.edges, c.isolated) == oracle_theorem_1_1(n), n
 
 
 class TestTheoremCheck:

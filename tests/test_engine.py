@@ -9,6 +9,7 @@ from conftest import (
     oracle_grog,
     oracle_legal_predations,
     oracle_max_consumable,
+    oracle_random_maximal_strategy,
     oracle_solve,
 )
 from hypothesis import example, given, settings
@@ -26,7 +27,7 @@ from grogweb.engine import (
     enumerate_greedy,
     legal_predations,
     new_state,
-    random_maximal_strategy,
+    random_maximal_run,
     run_result_to_json,
     run_strategy,
     solve_exact,
@@ -305,8 +306,7 @@ def test_run_invariants(w, seed):
     """Population bookkeeping, parity, and the arc-count identity on
     random maximal runs."""
     rng = random.Random(seed)
-    strategy = random_maximal_strategy(w, rng)
-    r = run_strategy(w, strategy, require_exit=True)
+    r = random_maximal_run(w, rng)[1]
     total = w.total_population
     # final population is label minus consumed incident arcs: order never matters
     for v in range(1, w.n + 1):
@@ -316,6 +316,19 @@ def test_run_invariants(w, seed):
     assert r.residual % 2 == total % 2
     assert 2 * r.predation_count == total - r.residual
     assert r.predation_count <= len(w.digraph.arcs)
+    assert not legal_predations(r.final_state)
+
+
+@given(random_webs(max_n=7, max_extra=8), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_random_maximal_run_equals_the_oracle_draw(w, seed):
+    """Same strategy, same rng state after the draw, and the result of
+    its own play is the result of replaying it."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    strategy, result = random_maximal_run(w, rng)
+    assert strategy == oracle_random_maximal_strategy(w, ref)
+    assert rng.getstate() == ref.getstate()
+    assert result == run_strategy(w, strategy, require_exit=True)
 
 
 @given(random_webs(), st.integers(0, 10_000))
@@ -323,7 +336,7 @@ def test_run_invariants(w, seed):
 def test_batches_equal_their_serialization(w, seed):
     """A batch is interchangeable with its singles, in any within-batch order."""
     rng = random.Random(seed)
-    strategy = random_maximal_strategy(w, rng)
+    strategy = random_maximal_run(w, rng)[0]
     singles = []
     for batch in strategy:
         order = sorted(batch.prey)
@@ -376,7 +389,7 @@ def corrupted_strategies(draw):
     later predator short of population or a later prey exhausted.
     """
     w = draw(random_webs())
-    strategy = list(random_maximal_strategy(w, random.Random(draw(st.integers(0, 10_000)))))
+    strategy = list(random_maximal_run(w, random.Random(draw(st.integers(0, 10_000))))[0])
     pred = draw(st.integers(1, w.n))
     others = [v for v in range(1, w.n + 1) if v != pred]
     prey = draw(st.sets(st.sampled_from(others), min_size=1))
@@ -400,7 +413,7 @@ def assert_run_equals_fold(w, strategy):
 @given(random_webs(), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_run_strategy_equals_folded_apply_batch(w, seed):
-    assert assert_run_equals_fold(w, random_maximal_strategy(w, random.Random(seed))) is None
+    assert assert_run_equals_fold(w, random_maximal_run(w, random.Random(seed))[0]) is None
 
 
 @given(corrupted_strategies())
