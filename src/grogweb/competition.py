@@ -86,13 +86,10 @@ def jaco_competition_closed_form(n: int) -> CompetitionGraph:
 def _closed_form(jg: JacoGraph) -> CompetitionGraph:
     """The closed form read off an already built J_n(1), n >= 5.
 
-    Tail t's out-arcs are the contiguous run (t, t+1) .. (t, t + d+(v_t))
-    of the sorted arcs.  Its last arc is the deleted far edge when
-    t + d+(v_t) <= n - 1, and otherwise reaches v_n, outside the induced
-    range; either way the edges of t >= 3 are its run minus the last arc,
-    and the kept arc tuples are the edges themselves.  Those edges cover
-    v_t .. v_{t + d+(v_t) - 1} when d+(v_t) >= 2, and every vertex outside
-    these intervals is isolated.
+    The last arc of each tail's run is the deleted far edge or reaches
+    v_n.  The edges of a tail t >= 3 with d+(v_t) >= 2 cover
+    v_t .. v_{t + d+(v_t) - 1}; a vertex outside every such interval is
+    isolated.
     """
     arcs = jg.digraph.arcs
     runs = []
