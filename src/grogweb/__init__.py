@@ -54,7 +54,6 @@ from .webs import (
     grog_number,
     path_graph,
     residual_distribution,
-    solve_labellings,
     star_graph,
     web_count_formula,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "run_claims",
     "run_strategy",
     "solve_exact",
-    "solve_labellings",
     "star_graph",
     "underlying",
     "web_count_formula",

@@ -9,13 +9,12 @@ deviation" adaptations are handled: the harness documents the measured
 grog-level numbers instead of asserting an interpretation of them.
 
 `_GROUPS` lists the claims that share one computation, in report order,
-each with the runner that checks them all from a `HarnessConfig` and two
-memos local to one `run_claims` call: the deduplicated webs of each base
+each with the runner that checks them all from a `HarnessConfig` and a
+memo local to one `run_claims` call: the deduplicated webs of each base
 graph, enumerated once and shared by the web corpus and the web-count
-check, and the residual distribution of each base graph, solved once and
-shared by the path, cycle and thm-2.6 checks.
-The second memo keeps only the {grog number: web count} ints, no webs
-or witnesses.  A group runs once when any of its claims is requested.
+check.  The path, cycle and thm-2.6 checks need no memo, since their
+graph-level values cost one exact solve per label placement (see
+`webs`).  A group runs once when any of its claims is requested.
 
 The lemma-2.1, lemma-2.2/2.3 and obs-1/obs-2 groups check seeded random
 maximal strategies.  Each is drawn and played once, by
@@ -51,14 +50,13 @@ from .webs import (
     complete_graph,
     cycle_graph,
     enumerate_webs,
+    grog_number,
     path_graph,
     residual_distribution,
     star_graph,
     web_count_formula,
 )
 
-# base graph -> {grog number: web count}, as residual_distribution returns it
-Distribution = Callable[[UGraph], dict[int, int]]
 # base graph -> its webs, as enumerate_webs(base, dedup=True) yields them
 Webs = Callable[[UGraph], list[Web]]
 
@@ -89,27 +87,26 @@ CLAIM_INFO = {
     "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2", None),
 }
 
-# (claim ids, runner(config, webs, dist) -> their reports), in report order;
+# (claim ids, runner(config, webs) -> their reports), in report order;
 # webs(base) is the deduplicated webs of base, enumerated once per base, which
-# _corpus extends with random webs, and dist(base) is
-# residual_distribution(base), computed once per base.
+# _corpus extends with random webs.
 _GROUPS = (
-    (("thm-1.1",), lambda c, webs, dist: [check_competition_closed_form(c.n_max_thm11)]),
-    (("lemma-2.1",), lambda c, webs, dist: [
+    (("thm-1.1",), lambda c, webs: [check_competition_closed_form(c.n_max_thm11)]),
+    (("lemma-2.1",), lambda c, webs: [
         check_exit_lemma(_corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 1)]),
-    (("lemma-2.2", "lemma-2.3"), lambda c, webs, dist: check_parity_and_arc_count(
+    (("lemma-2.2", "lemma-2.3"), lambda c, webs: check_parity_and_arc_count(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
-    (("prop-2.4",), lambda c, webs, dist: [check_path_extension_report(c.n_max_path, dist)]),
-    (("cor-2.5",), lambda c, webs, dist: [check_path_recursion(c.n_max_path, dist)]),
-    (("thm-2.6",), lambda c, webs, dist: [check_orientation_divergence(distribution=dist)]),
-    (("prop-2.7", "cor-2.8"), lambda c, webs, dist: check_cycle_relations(c.n_max_cycle, dist)),
+    (("prop-2.4",), lambda c, webs: [check_path_extension_report(c.n_max_path)]),
+    (("cor-2.5",), lambda c, webs: [check_path_recursion(c.n_max_path)]),
+    (("thm-2.6",), lambda c, webs: [check_orientation_divergence()]),
+    (("prop-2.7", "cor-2.8"), lambda c, webs: check_cycle_relations(c.n_max_cycle)),
     (("lemma-2.9", "prop-2.10", "cor-2.11"),
-     lambda c, webs, dist: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
-    (("obs-1", "obs-2"), lambda c, webs, dist: check_termination_and_determinism(
+     lambda c, webs: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
+    (("obs-1", "obs-2"), lambda c, webs: check_termination_and_determinism(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
-    (("def-2.2-equivalence",), lambda c, webs, dist: [check_greedy_equivalence(
+    (("def-2.2-equivalence",), lambda c, webs: [check_greedy_equivalence(
         _corpus(webs, c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c, webs, dist: [check_web_count(webs=webs)]),
+    (("web-count",), lambda c, webs: [check_web_count(webs=webs)]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -298,9 +295,9 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int = GREEDY_ARC_CAP) -
     return _report("def-2.2-equivalence", _assert_status(failures), len(corpus), failures, values)
 
 
-def _family_grogs(family, n_max: int, distribution: Distribution) -> dict[int, int]:
+def _family_grogs(family, n_max: int) -> dict[int, int]:
     """g(family(n)) for n = 3..n_max: the least grog number of any web."""
-    return {n: min(distribution(family(n))) for n in range(3, n_max + 1)}
+    return {n: grog_number(family(n)).grog for n in range(3, n_max + 1)}
 
 
 def _check_family_range(what: str, n_max: int) -> None:
@@ -313,10 +310,10 @@ def _check_family_range(what: str, n_max: int) -> None:
         )
 
 
-def check_path_recursion(n_max: int, distribution: Distribution | None = None) -> ClaimReport:
+def check_path_recursion(n_max: int) -> ClaimReport:
     """cor-2.5: brute-forced g(P_n) satisfies g(P_{n+1}) = g(P_n) + (n - 1)."""
     _check_family_range("path recursion", n_max)
-    g = _family_grogs(path_graph, n_max, distribution or residual_distribution)
+    g = _family_grogs(path_graph, n_max)
     failures = []
     for n in range(3, n_max):
         if g[n + 1] != g[n] + (n - 1):
@@ -330,25 +327,20 @@ def check_path_recursion(n_max: int, distribution: Distribution | None = None) -
     return _report("cor-2.5", _assert_status(failures), max(0, n_max - 3), failures, values)
 
 
-def check_path_extension_report(
-    n_max: int, distribution: Distribution | None = None
-) -> ClaimReport:
+def check_path_extension_report(n_max: int) -> ClaimReport:
     """prop-2.4 (report-only): per-web grog histograms and extension deltas."""
     _check_family_range("path extension report", n_max)
-    distribution = distribution or residual_distribution
-    g = _family_grogs(path_graph, n_max, distribution)
+    g = _family_grogs(path_graph, n_max)
     per_web = {}
     for n in range(3, min(5, n_max) + 1):
-        hist = distribution(path_graph(n))
+        hist = residual_distribution(path_graph(n))
         per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
     values = {"per_web_grog": per_web, "extension_deltas": deltas}
     return _report("prop-2.4", "reported", len(per_web) + len(deltas), [], values)
 
 
-def check_cycle_relations(
-    n_max: int, distribution: Distribution | None = None
-) -> tuple[ClaimReport, ClaimReport]:
+def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     """prop-2.7 and cor-2.8 (report-only): observed cycle deltas.
 
     These are per-strategy statements about minimally-deviated strategy
@@ -357,9 +349,8 @@ def check_cycle_relations(
     observed sequences are recorded without assertion.
     """
     _check_family_range("cycle relations", n_max)
-    distribution = distribution or residual_distribution
-    gc = _family_grogs(cycle_graph, n_max, distribution)
-    gp = _family_grogs(path_graph, n_max, distribution)
+    gc = _family_grogs(cycle_graph, n_max)
+    gp = _family_grogs(path_graph, n_max)
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
     prop = _report(
@@ -402,13 +393,10 @@ def divergence_bases() -> list[tuple[str, UGraph]]:
     ]
 
 
-def check_orientation_divergence(
-    bases: list[tuple[str, UGraph]] | None = None, distribution: Distribution | None = None
-) -> ClaimReport:
+def check_orientation_divergence(bases: list[tuple[str, UGraph]] | None = None) -> ClaimReport:
     """thm-2.6: each base has two webs with distinct grog numbers (n >= 3)."""
     if bases is None:
         bases = divergence_bases()
-    distribution = distribution or residual_distribution
     failures = []
     values: dict = {"bases": {}}
     instances = 0
@@ -417,7 +405,7 @@ def check_orientation_divergence(
         if base.n < 3:
             skipped.append(name)
             continue
-        distinct = list(distribution(base))
+        distinct = list(residual_distribution(base))
         lo, hi = distinct[0], distinct[-1]
         values["bases"][name] = {"min": lo, "max": hi, "distinct": distinct}
         instances += 1
@@ -626,24 +614,18 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
     deduped: dict[UGraph, list[Web]] = {}
-    distributions: dict[UGraph, dict[int, int]] = {}
 
     def webs(base: UGraph) -> list[Web]:
         if base not in deduped:
             deduped[base] = _dedup_webs(base)
         return deduped[base]
 
-    def distribution(base: UGraph) -> dict[int, int]:
-        if base not in distributions:
-            distributions[base] = residual_distribution(base)
-        return distributions[base]
-
     reports: list[ClaimReport] = []
     for ids, runner in _GROUPS:
         if not wanted.intersection(ids):
             continue
         try:
-            group_reports = runner(config, webs, distribution)
+            group_reports = runner(config, webs)
         except GraphError as exc:
             group_reports = [
                 ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": str(exc)})

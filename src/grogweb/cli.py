@@ -47,7 +47,6 @@ from .webs import (
     cycle_graph,
     enumerate_webs,
     path_graph,
-    solve_labellings,
     star_graph,
     web_count_formula,
 )
@@ -195,8 +194,13 @@ def cmd_enumerate(args) -> int:
     webs = list(enumerate_webs(base, dedup=args.dedup))
     formula = web_count_formula(base.n, len(base.edges))
     # every orientation of a labelled edge set shares its grog number
-    solved = solve_labellings(base)
-    grogs = [solved[underlying(w.digraph).edges][1].grog for w in webs]
+    solved: dict[tuple[tuple[int, int], ...], int] = {}
+    grogs = []
+    for w in webs:
+        key = underlying(w.digraph).edges
+        if key not in solved:
+            solved[key] = solve_exact(w).grog
+        grogs.append(solved[key])
     grog = min(grogs)
     witness = webs[grogs.index(grog)]
 

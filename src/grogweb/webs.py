@@ -16,9 +16,12 @@ Graph-level values need no orientations.  A predation lowers both
 endpoint populations by one, so a set of arcs can be consumed, in any
 order, exactly when every vertex v meets at most v of them; arc
 direction plays no part.  Every orientation of a labelled edge set
-therefore has the same grog number, and graph-level values cost one
-exact solve per labelled edge set (at most n!), not one per web
-(n! * 2^eps).
+therefore has the same grog number.  Nor do most labels matter: a vertex
+meets at most its degree of arcs, so a label of at least the maximum
+degree D never binds, and only where labels 1..D-1 sit changes the
+value.  Graph-level values therefore cost one exact solve per placement
+of those labels, n!/(n-D+1)! of them, not one per indexing (n!) or per
+web (n! * 2^eps).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .graphs import (
     CapExceeded,
     Digraph,
     GraphError,
+    Indexing,
     UGraph,
     indexings,
     is_connected,
@@ -44,9 +48,6 @@ from .graphs import (
 WEB_N_CAP = INDEXING_CAP
 WEB_EDGE_CAP = 12
 INT64_MAX = 2**63 - 1
-
-# A labelled edge set: the sorted (u, v), u < v, edges of one indexing.
-LabelledEdges = tuple[tuple[int, int], ...]
 
 
 def path_graph(n: int) -> UGraph:
@@ -142,25 +143,21 @@ def automorphism_count(g: UGraph) -> int:
     return count
 
 
-def solve_labellings(g: UGraph) -> dict[LabelledEdges, tuple[Web, SolveResult]]:
-    """One exact solve per distinct labelled edge set of g.
+def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, SolveResult]]:
+    """One exact solve per placement of labels 1..k, k = max(D - 1, 0) for max degree D.
 
-    Indexings are walked in lexicographic order.  Each new labelled edge
-    set maps to the web `enumerate_webs` emits for that indexing at
-    direction mask 0, together with its `solve_exact` result; keys stay
-    in order of first occurrence.  Every orientation of an edge set has
-    the same grog number, and among the deduplicated webs each edge set
-    accounts for exactly 2^eps of them.
+    Each placement gives the other labels, in ascending order, to the free
+    positions in position order: the lexicographically least indexing with
+    that placement.  Its mask-0 web, as `enumerate_webs` emits it, is solved.
     """
     _check_base(g)
-    solved: dict[LabelledEdges, tuple[Web, SolveResult]] = {}
-    for labels in indexings(g.n):
-        arcs = [(labels[p - 1], labels[q - 1]) for p, q in g.edges]
-        key = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
-        if key not in solved:
-            web = Web(Digraph(g.n, tuple(sorted(arcs))))
-            solved[key] = (web, solve_exact(web))
-    return solved
+    k = max(max(g.degree(v) for v in range(1, g.n + 1)) - 1, 0)
+    for placed in itertools.permutations(range(1, g.n + 1), k):
+        rest = iter(range(k + 1, g.n + 1))
+        position = {p: label for label, p in enumerate(placed, 1)}
+        labels = tuple(position.get(p) or next(rest) for p in range(1, g.n + 1))
+        web = Web(Digraph(g.n, tuple(sorted((labels[p - 1], labels[q - 1]) for p, q in g.edges))))
+        yield labels, web, solve_exact(web)
 
 
 @dataclass(frozen=True)
@@ -176,18 +173,23 @@ def grog_number(g: UGraph) -> GraphGrogResult:
     """Minimum grog number over every indexing and orientation of g.
 
     The witness is the first optimal web in stream order, with or
-    without deduplication: the mask-0 web of the first indexing whose
-    edge set attains the minimum, since every earlier indexing has a
-    larger value in all of its orientations.
+    without deduplication: the mask-0 web of the least indexing that
+    attains the minimum, since every earlier indexing has a larger value
+    in all of its orientations.  That indexing is the least of its
+    placement, so it is the least optimal placement indexing.
     """
-    solved = solve_labellings(g)
-    web, best = min(solved.values(), key=lambda pair: pair[1].grog)
+    _, web, best = min(_placements(g), key=lambda item: (item[2].grog, item[0]))
     return GraphGrogResult(best.grog, web, best.witness)
 
 
 def residual_distribution(g: UGraph) -> dict[int, int]:
-    """Histogram grog number -> web count over the deduplicated webs."""
-    solved = solve_labellings(g)
-    counts = Counter(result.grog for _, result in solved.values())
-    orientations = 1 << len(g.edges)
-    return {grog: count * orientations for grog, count in sorted(counts.items())}
+    """Histogram grog number -> web count over the deduplicated webs.
+
+    Each placement stands for the same number of indexings, each labelled
+    edge set arises from |Aut(g)| indexings, and each has 2^eps distinct
+    orientations.
+    """
+    counts = Counter(result.grog for _, _, result in _placements(g))
+    scale = (math.factorial(g.n) // counts.total()) << len(g.edges)
+    aut = automorphism_count(g)
+    return {grog: count * scale // aut for grog, count in sorted(counts.items())}

@@ -12,6 +12,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from grogweb.engine import (
@@ -21,7 +22,9 @@ from grogweb.engine import (
     apply_batch,
     legal_predations,
     new_state,
+    solve_exact,
 )
+from grogweb.graphs import Digraph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -194,6 +197,28 @@ def oracle_random_maximal_strategy(web: Web, rng) -> Strategy:
             pop[h - 1] -= 1
             remaining.discard((pred, h))
         batches.append(PredationBatch(pred, prey))
+
+
+def oracle_graph_values(g):
+    """(min grog, witness web, witness strategy, histogram) of base graph g
+    by one exact solve per labelled edge set over all n! indexings.
+
+    Indexings are walked in lexicographic order; each new labelled edge
+    set is solved on its mask-0 web (arc (label of p, label of q) for each
+    base edge p < q).  The witness is the first edge set that attains the
+    minimum, and the histogram counts the 2^eps webs of every edge set.
+    """
+    solved = {}
+    for labels in itertools.permutations(range(1, g.n + 1)):
+        arcs = [(labels[p - 1], labels[q - 1]) for p, q in g.edges]
+        key = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
+        if key not in solved:
+            web = Web(Digraph(g.n, tuple(sorted(arcs))))
+            solved[key] = (web, solve_exact(web))
+    web, best = min(solved.values(), key=lambda pair: pair[1].grog)
+    counts = Counter(result.grog for _, result in solved.values())
+    hist = {grog: count << len(g.edges) for grog, count in sorted(counts.items())}
+    return best.grog, web, best.witness, hist
 
 
 def oracle_competition_edges(d) -> set[tuple[int, int]]:

@@ -7,7 +7,6 @@ import pytest
 import grogweb.claims as claims
 import grogweb.engine as engine
 import grogweb.jaco as jaco
-import grogweb.webs as webs
 from grogweb.claims import (
     CLAIM_INFO,
     CLAIM_ORDER,
@@ -77,6 +76,7 @@ class TestPathAndCycle:
             raise AssertionError("enumerated before the cap check")
 
         monkeypatch.setattr(claims, "residual_distribution", no_enumeration)
+        monkeypatch.setattr(claims, "grog_number", no_enumeration)
         for check in (check_path_recursion, check_path_extension_report, check_cycle_relations):
             with pytest.raises(CapExceeded):
                 check(WEB_N_CAP + 1)
@@ -186,7 +186,7 @@ class TestHarnessSanity:
             pop[batch.predator - 1] += 1
             return consumed
 
-        # every move, in random_maximal_strategy, run_strategy and apply_batch, goes
+        # every move, in random_maximal_run, run_strategy and apply_batch, goes
         # through the one in-place step
         monkeypatch.setattr(engine, "_play", corrupted)
         parity, count = check_parity_and_arc_count(p3_webs(), runs=3, seed=4)
@@ -273,19 +273,6 @@ class TestRunAll:
         # only obs-2 replays: 194 corpus webs x 10 runs; the lemma-2.1,
         # lemma-2.2/2.3 and obs-1 checks read the draw's own play
         assert len(calls) == 1940
-
-    def test_each_base_is_solved_once(self, monkeypatch):
-        calls = []
-        real = webs.solve_labellings
-
-        def counting(base):
-            calls.append(base)
-            return real(base)
-
-        monkeypatch.setattr(webs, "solve_labellings", counting)
-        run_all(SMALL)
-        # P3..P6 and C3..C6 for the path and cycle claims, star4 and K4 for thm-2.6
-        assert len(calls) == len(set(calls)) == 10
 
     def test_full_report(self):
         report = run_all(SMALL)

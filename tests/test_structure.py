@@ -1,6 +1,7 @@
 """Structure guard: no private imports across modules, no unbounded caches,
-no claim id outside the harness's catalog module, and no settable cap
-outside the greedy counter.
+no claim id outside the harness's catalog module, no settable cap
+outside the greedy counter, and no n! indexing walk outside web
+enumeration.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -91,6 +92,16 @@ def cap_parameters(tree: ast.AST) -> list[str]:
     return found
 
 
+def indexing_callers(tree: ast.Module, module: str) -> list[str]:
+    """`module.name` of each top-level definition that calls `indexings`."""
+    return [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _callee_name(node.func) == "indexings"
+    ]
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -108,6 +119,12 @@ def test_no_unbounded_caches(path):
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_cap_parameters(path):
     assert cap_parameters(_parse(path)) == []
+
+
+def test_only_web_enumeration_walks_indexings():
+    # graph-level values walk label placements, not the n! indexings
+    callers = [c for path in SRC_FILES for c in indexing_callers(_parse(path), path.stem)]
+    assert callers == ["webs.enumerate_webs"]
 
 
 def test_cli_holds_no_claim_id():
@@ -148,4 +165,18 @@ def test_guard_catches_violations():
     )
     assert cap_parameters(tree) == [
         "line 1: solve(cap)", "line 2: walk(n_cap)", "line 3: <lambda>(arc_cap)",
+    ]
+    tree = ast.parse(
+        "def enumerate_webs(g):\n"
+        "    def gen():\n"
+        "        yield from indexings(g.n)\n"
+        "    return gen()\n"
+        "def solve_all(g):\n"
+        "    return [solve(x) for x in graphs.indexings(g.n)]\n"
+        "FIRST = next(indexings(3))\n"
+        "def fine(g):\n"
+        "    return indexings\n"
+    )
+    assert indexing_callers(tree, "webs") == [
+        "webs.enumerate_webs", "webs.solve_all", "webs.<module>",
     ]

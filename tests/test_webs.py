@@ -2,13 +2,13 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS
+from conftest import EXAMPLE1_WEBS, oracle_graph_values
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grogweb.webs as webs
 from grogweb.engine import run_strategy, solve_exact
-from grogweb.graphs import CapExceeded, GraphError, make_ugraph, underlying
+from grogweb.graphs import CapExceeded, GraphError, make_ugraph
 from grogweb.webs import (
     automorphism_count,
     complete_graph,
@@ -17,7 +17,6 @@ from grogweb.webs import (
     grog_number,
     path_graph,
     residual_distribution,
-    solve_labellings,
     star_graph,
     web_count_formula,
 )
@@ -168,8 +167,8 @@ class TestResidualDistribution:
         assert residual_distribution(path_graph(2)) == {1: 2}
 
 
-class TestSolveLabellings:
-    def test_one_solve_per_labelled_edge_set(self, monkeypatch):
+class TestPlacements:
+    def test_one_solve_per_placement(self, monkeypatch):
         calls = []
 
         def counting(web):
@@ -177,35 +176,55 @@ class TestSolveLabellings:
             return solve_exact(web)
 
         monkeypatch.setattr(webs, "solve_exact", counting)
-        for base in (path_graph(4), cycle_graph(4), star_graph(4), complete_graph(4)):
-            calls.clear()
-            solved = solve_labellings(base)
-            expected = math.factorial(base.n) // automorphism_count(base)
-            assert len(solved) == len(calls) == expected
-
-    def test_values_are_first_mask_zero_webs(self):
-        base = cycle_graph(4)
-        expected = {}
-        # the raw stream holds 2^eps webs per indexing, mask 0 first
-        for web in list(enumerate_webs(base))[:: 1 << len(base.edges)]:
-            expected.setdefault(underlying(web.digraph).edges, web)
-        solved = solve_labellings(base)
-        assert list(solved) == list(expected)
-        for key, (web, result) in solved.items():
-            assert web == expected[key]
-            assert result == solve_exact(web)
+        cases = [
+            (path_graph(6), 6),
+            (cycle_graph(6), 6),
+            (star_graph(4), 12),
+            (complete_graph(4), 12),
+            (path_graph(2), 1),
+            (make_ugraph(1, []), 1),
+        ]
+        for base, solves in cases:
+            # labels 1..D-1 placed injectively: n!/(n-D+1)! solves for max degree D
+            delta = max(base.degree(v) for v in range(1, base.n + 1))
+            k = max(delta - 1, 0)
+            assert solves == math.factorial(base.n) // math.factorial(base.n - k)
+            for graph_level in (grog_number, residual_distribution):
+                calls.clear()
+                graph_level(base)
+                assert len(calls) == solves, (base, graph_level.__name__)
 
     def test_raises_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the cap check")
 
         monkeypatch.setattr(webs, "solve_exact", no_solve)
-        with pytest.raises(CapExceeded):
-            solve_labellings(path_graph(9))
-        with pytest.raises(CapExceeded):
-            solve_labellings(complete_graph(6))  # 15 edges > 12
-        with pytest.raises(GraphError):
-            solve_labellings(make_ugraph(3, [(1, 2)]))
+        for graph_level in (grog_number, residual_distribution):
+            with pytest.raises(CapExceeded):
+                graph_level(path_graph(9))
+            with pytest.raises(CapExceeded):
+                graph_level(complete_graph(6))  # 15 edges > 12
+            with pytest.raises(GraphError):
+                graph_level(make_ugraph(3, [(1, 2)]))
+
+
+class TestAgainstOracle:
+    """Graph-level values from label placements agree with one solve per
+    labelled edge set over all n! indexings."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(connected_bases(max_n=7, max_edges=9))
+    @example(star_graph(5))
+    @example(complete_graph(5))
+    @example(make_ugraph(1, []))
+    @example(path_graph(2))
+    def test_graph_level_values(self, g):
+        grog, web, strategy, hist = oracle_graph_values(g)
+        result = grog_number(g)
+        assert result.grog == grog
+        assert result.web == web
+        assert result.strategy == strategy
+        assert residual_distribution(g) == hist
 
 
 class TestAgainstPerWebSolves:
