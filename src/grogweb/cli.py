@@ -4,6 +4,10 @@ Subcommands: jaco, competition, grog solve, grog run, enumerate, verify.
 stdout carries data, stderr carries diagnostics; --out redirects the data
 to a file.  Exit codes: 0 success / all asserts pass, 1 assertion or
 strategy failure or a skipped assert, 2 usage, parse or cap error.
+
+Each subcommand imports the modules it uses when it runs, so `jaco`,
+`competition` and `--help` never load the game engine, web enumeration
+or the claim harness, and `grog` loads the engine but not the other two.
 """
 
 from __future__ import annotations
@@ -13,43 +17,7 @@ import json
 import sys
 from collections import Counter
 
-from . import claims
-from .competition import (
-    check_theorem_1_1,
-    competition_graph,
-    competition_to_dot,
-    competition_to_json,
-    jaco_competition_closed_form,
-)
-from .engine import (
-    GREEDY_ARC_CAP,
-    StrategyError,
-    Web,
-    enumerate_greedy,
-    run_result_to_json,
-    run_strategy,
-    solve_exact,
-    solve_result_to_json,
-    strategy_from_json,
-)
-from .graphs import (
-    GraphError,
-    digraph_from_json,
-    digraph_to_dot,
-    digraph_to_json,
-    ugraph_from_json,
-    ugraph_to_json,
-    underlying,
-)
-from .jaco import build_jaco, jaco_to_json
-from .webs import (
-    complete_graph,
-    cycle_graph,
-    enumerate_webs,
-    path_graph,
-    star_graph,
-    web_count_formula,
-)
+from .graphs import GraphError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,6 +53,9 @@ def _arc_list(arcs) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_jaco(args) -> int:
+    from .graphs import digraph_to_dot
+    from .jaco import build_jaco, jaco_to_json
+
     jg = build_jaco(args.n)
     if args.format == "json":
         text = _json_text(jaco_to_json(jg))
@@ -102,6 +73,16 @@ def cmd_jaco(args) -> int:
 
 
 def cmd_competition(args) -> int:
+    from .competition import (
+        check_theorem_1_1,
+        competition_graph,
+        competition_to_dot,
+        competition_to_json,
+        jaco_competition_closed_form,
+    )
+    from .graphs import digraph_from_json
+    from .jaco import build_jaco
+
     if args.input is None and args.jaco is None:
         raise GraphError("competition needs an input graph file or --jaco N")
     if args.check:
@@ -139,6 +120,9 @@ def cmd_competition(args) -> int:
 
 
 def cmd_grog_solve(args) -> int:
+    from .engine import Web, solve_exact, solve_result_to_json
+    from .graphs import digraph_from_json
+
     web = Web(digraph_from_json(_load_json_file(args.input)))
     result = solve_exact(web)
     if args.format == "json":
@@ -161,9 +145,16 @@ def cmd_grog_solve(args) -> int:
 
 
 def cmd_grog_run(args) -> int:
+    from .engine import StrategyError, Web, run_result_to_json, run_strategy, strategy_from_json
+    from .graphs import digraph_from_json
+
     web = Web(digraph_from_json(_load_json_file(args.input)))
     strategy = strategy_from_json(_load_json_file(args.strategy))
-    result = run_strategy(web, strategy, require_exit=args.require_exit)
+    try:
+        result = run_strategy(web, strategy, require_exit=args.require_exit)
+    except StrategyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     if args.format == "json":
         text = _json_text(run_result_to_json(result))
     else:
@@ -176,19 +167,28 @@ def cmd_grog_run(args) -> int:
     return EXIT_OK
 
 
-_FAMILIES = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "star": star_graph,
-    "complete": complete_graph,
-}
-
-
 def cmd_enumerate(args) -> int:
-    if args.graph in _FAMILIES:
+    from .engine import GREEDY_ARC_CAP, enumerate_greedy, solve_exact
+    from .graphs import digraph_to_json, ugraph_from_json, ugraph_to_json, underlying
+    from .webs import (
+        complete_graph,
+        cycle_graph,
+        enumerate_webs,
+        path_graph,
+        star_graph,
+        web_count_formula,
+    )
+
+    families = {
+        "path": path_graph,
+        "cycle": cycle_graph,
+        "star": star_graph,
+        "complete": complete_graph,
+    }
+    if args.graph in families:
         if args.n is None:
             raise GraphError(f"--graph {args.graph} needs --n")
-        base = _FAMILIES[args.graph](args.n)
+        base = families[args.graph](args.n)
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
     webs = list(enumerate_webs(base, dedup=args.dedup))
@@ -208,7 +208,8 @@ def cmd_enumerate(args) -> int:
     greedy = None
     if args.distribution:
         distribution = dict(sorted(Counter(grogs).items()))
-        greedy = [enumerate_greedy(w, cap=args.max_arcs) for w in webs]
+        cap = GREEDY_ARC_CAP if args.max_arcs is None else args.max_arcs
+        greedy = [enumerate_greedy(w, cap=cap) for w in webs]
 
     if args.format == "csv":
         if distribution is None:
@@ -272,12 +273,16 @@ def _verify_summary(report: dict) -> str:
 
 
 def cmd_verify(args) -> int:
+    from . import claims
+
     if args.claim and args.claim not in claims.CLAIM_INFO:
         print(f"error: unknown claim id {args.claim!r}", file=sys.stderr)
         print(f"known ids: {', '.join(claims.CLAIM_ORDER)}", file=sys.stderr)
         return EXIT_USAGE
     ids = [args.claim] if args.claim else claims.CLAIM_ORDER
-    config = claims.HarnessConfig(seed=args.seed, arc_cap=args.max_arcs)
+    config = claims.HarnessConfig(seed=args.seed)
+    if args.max_arcs is not None:
+        config.arc_cap = args.max_arcs
     if args.n_max is not None:
         for cid in ids:
             field = claims.CLAIM_INFO[cid][2]
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true", help="emit each distinct web once")
     p.add_argument("--distribution", action="store_true",
                    help="include the residual histogram and per-web greedy counts")
-    p.add_argument("--max-arcs", type=int, default=GREEDY_ARC_CAP,
+    p.add_argument("--max-arcs", type=int,
                    help="arc cap of the per-web greedy counts (with --distribution)")
     common(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_enumerate)
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--claim", metavar="ID", help="run a single claim by id")
     p.add_argument("--n-max", type=int, help="override the range cap of range-based claims")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-arcs", type=int, default=GREEDY_ARC_CAP,
+    p.add_argument("--max-arcs", type=int,
                    help="arc cap of the greedy walk in the greedy-equivalence claim")
     common(p, ["text", "json"])
     p.set_defaults(func=cmd_verify)
@@ -374,9 +379,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StrategyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -128,19 +128,40 @@ def enumerate_webs(g: UGraph, dedup: bool = False) -> Iterator[Web]:
 
 
 def automorphism_count(g: UGraph) -> int:
-    """|Aut(g)| by brute-force permutation check, for n <= WEB_N_CAP."""
+    """|Aut(g)| by backtracking, for n <= WEB_N_CAP.
+
+    Vertices 1..n are mapped in order.  A vertex may go only to an unused
+    vertex of its own degree that is adjacent to the image of each earlier
+    vertex exactly when the vertex is adjacent to that earlier vertex, so
+    every complete map is an automorphism and most maps that cannot become
+    one die early: P_8 takes 16 assignments where a scan of all n!
+    permutations checks 40,320.
+    """
     if g.n > WEB_N_CAP:
         raise CapExceeded(f"n={g.n} exceeds the automorphism cap {WEB_N_CAP}")
-    edges = set(g.edges)
-    count = 0
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        mapped = {
-            (min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]))
-            for u, v in edges
-        }
-        if mapped == edges:
-            count += 1
-    return count
+    adjacent = [set() for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    image = [0] * (g.n + 1)
+    free = set(range(1, g.n + 1))
+
+    def extend(v: int) -> int:
+        if v > g.n:
+            return 1
+        count = 0
+        for w in sorted(free):
+            if len(adjacent[w]) != len(adjacent[v]) or any(
+                (u in adjacent[v]) != (image[u] in adjacent[w]) for u in range(1, v)
+            ):
+                continue
+            image[v] = w
+            free.remove(w)
+            count += extend(v + 1)
+            free.add(w)
+        return count
+
+    return extend(1)
 
 
 def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, SolveResult]]:

@@ -221,6 +221,15 @@ def oracle_graph_values(g):
     return best.grog, web, best.witness, hist
 
 
+def oracle_automorphism_count(g) -> int:
+    """|Aut(g)| by checking every one of the n! vertex permutations."""
+    edges = set(g.edges)
+    return sum(
+        {tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in edges} == edges
+        for perm in itertools.permutations(range(1, g.n + 1))
+    )
+
+
 def oracle_competition_edges(d) -> set[tuple[int, int]]:
     """Competition edges by the literal triple scan over (u, w, z)."""
     edges = set()

@@ -161,6 +161,14 @@ class TestGrogCommand:
         assert proc.returncode == 1
         assert "step 1" in proc.stderr
 
+    def test_run_require_exit_rejects_early_stop(self, web1_file, tmp_path):
+        strategy = tmp_path / "short.json"
+        strategy.write_text(json.dumps([{"predator": 1, "prey": [2]}]))
+        proc = run_cli("grog", "run", web1_file, "--strategy", str(strategy), "--require-exit")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: strategy stops early: 1 legal predation(s) remain\n"
+
     def test_run_rejects_max_arcs(self, web1_file, tmp_path):
         strategy = tmp_path / "empty.json"
         strategy.write_text("[]")
@@ -428,6 +436,11 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--max-arcs", "5", "--format", "json")
         skipped = [c["id"] for c in json.loads(proc.stdout)["claims"] if c["status"] == "skipped"]
         assert skipped == ["def-2.2-equivalence"]
+
+    def test_default_arc_cap(self):
+        proc = run_cli("verify", "--claim", "web-count", "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["caps"]["arc_cap"] == 24
 
     def test_path_claim_runs_past_six(self):
         proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "7", "--format", "json")

@@ -1,8 +1,9 @@
+import itertools
 import math
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS, oracle_graph_values
+from conftest import EXAMPLE1_WEBS, oracle_automorphism_count, oracle_graph_values
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,15 @@ def connected_bases(draw, max_n=5, max_edges=6):
     room = min(max_edges - len(edges), len(pool))
     extra = draw(st.lists(st.sampled_from(pool), max_size=room, unique=True)) if room else []
     return make_ugraph(n, sorted(edges | set(extra)))
+
+
+@st.composite
+def any_graphs(draw, max_n=7):
+    """A graph on 1..max_n vertices with any edge set, connected or not."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return make_ugraph(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
 
 
 def per_web_reference(g):
@@ -119,6 +129,19 @@ class TestAutomorphisms:
         assert automorphism_count(cycle_graph(4)) == 8
         assert automorphism_count(star_graph(4)) == 6
         assert automorphism_count(complete_graph(4)) == 24
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(any_graphs(), connected_bases(max_n=7, max_edges=12)))
+    @example(complete_graph(8))
+    @example(star_graph(8))
+    @example(path_graph(8))
+    @example(make_ugraph(8, []))
+    def test_against_permutation_scan(self, g):
+        assert automorphism_count(g) == oracle_automorphism_count(g)
+
+    def test_cap(self):
+        with pytest.raises(CapExceeded):
+            automorphism_count(path_graph(9))
 
     def test_dedup_count_is_orbit_quotient(self):
         for base in (path_graph(3), cycle_graph(3), cycle_graph(4), star_graph(4)):
