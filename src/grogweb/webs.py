@@ -133,9 +133,11 @@ def automorphism_count(g: UGraph) -> int:
     Vertices 1..n are mapped in order.  A vertex may go only to an unused
     vertex of its own degree that is adjacent to the image of each earlier
     vertex exactly when the vertex is adjacent to that earlier vertex, so
-    every complete map is an automorphism and most maps that cannot become
-    one die early: P_8 takes 16 assignments where a scan of all n!
-    permutations checks 40,320.
+    most maps that cannot become an automorphism die early.  |Aut(g)| is
+    the product over v of the orbit of v under the automorphisms that fix
+    1..v-1, and one found extension puts a vertex in that orbit, so no
+    search lists every automorphism: K_8 and the edgeless graph on 8
+    vertices need not walk their 40,320.
     """
     if g.n > WEB_N_CAP:
         raise CapExceeded(f"n={g.n} exceeds the automorphism cap {WEB_N_CAP}")
@@ -146,22 +148,27 @@ def automorphism_count(g: UGraph) -> int:
     image = [0] * (g.n + 1)
     free = set(range(1, g.n + 1))
 
-    def extend(v: int) -> int:
-        if v > g.n:
-            return 1
-        count = 0
-        for w in sorted(free):
-            if len(adjacent[w]) != len(adjacent[v]) or any(
-                (u in adjacent[v]) != (image[u] in adjacent[w]) for u in range(1, v)
-            ):
-                continue
-            image[v] = w
-            free.remove(w)
-            count += extend(v + 1)
-            free.add(w)
-        return count
+    def images(v: int) -> list[int]:
+        return [
+            w for w in sorted(free)
+            if len(adjacent[w]) == len(adjacent[v])
+            and all((u in adjacent[v]) == (image[u] in adjacent[w]) for u in range(1, v))
+        ]
 
-    return extend(1)
+    def extends(v: int, w: int) -> bool:
+        """Whether the map of 1..v-1 with v -> w extends to an automorphism."""
+        image[v] = w
+        free.remove(w)
+        found = v == g.n or any(extends(v + 1, x) for x in images(v + 1))
+        free.add(w)
+        return found
+
+    count = 1
+    for v in range(1, g.n + 1):
+        count *= sum(extends(v, w) for w in images(v))
+        image[v] = v
+        free.remove(v)
+    return count
 
 
 def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, SolveResult]]:
