@@ -127,6 +127,26 @@ def enumerate_webs(g: UGraph, dedup: bool = False) -> Iterator[Web]:
     return gen()
 
 
+def _images(adjacent: list[set[int]], image: list[int], v: int) -> list[int]:
+    """The vertices v may map to: unused, of v's degree, and adjacent to the
+    image of each u < v exactly when v is adjacent to u."""
+    used = image[1:v]
+    return [
+        w for w in range(1, len(adjacent))
+        if w not in used
+        and len(adjacent[w]) == len(adjacent[v])
+        and all((u in adjacent[v]) == (image[u] in adjacent[w]) for u in range(1, v))
+    ]
+
+
+def _extends(adjacent: list[set[int]], image: list[int], v: int, w: int) -> bool:
+    """Whether the map of 1..v-1 in `image` with v -> w extends to an automorphism."""
+    image[v] = w
+    return v == len(adjacent) - 1 or any(
+        _extends(adjacent, image, v + 1, x) for x in _images(adjacent, image, v + 1)
+    )
+
+
 def automorphism_count(g: UGraph) -> int:
     """|Aut(g)| by backtracking, for n <= WEB_N_CAP.
 
@@ -141,33 +161,15 @@ def automorphism_count(g: UGraph) -> int:
     """
     if g.n > WEB_N_CAP:
         raise CapExceeded(f"n={g.n} exceeds the automorphism cap {WEB_N_CAP}")
-    adjacent = [set() for _ in range(g.n + 1)]
+    adjacent: list[set[int]] = [set() for _ in range(g.n + 1)]
     for u, v in g.edges:
         adjacent[u].add(v)
         adjacent[v].add(u)
     image = [0] * (g.n + 1)
-    free = set(range(1, g.n + 1))
-
-    def images(v: int) -> list[int]:
-        return [
-            w for w in sorted(free)
-            if len(adjacent[w]) == len(adjacent[v])
-            and all((u in adjacent[v]) == (image[u] in adjacent[w]) for u in range(1, v))
-        ]
-
-    def extends(v: int, w: int) -> bool:
-        """Whether the map of 1..v-1 with v -> w extends to an automorphism."""
-        image[v] = w
-        free.remove(w)
-        found = v == g.n or any(extends(v + 1, x) for x in images(v + 1))
-        free.add(w)
-        return found
-
     count = 1
     for v in range(1, g.n + 1):
-        count *= sum(extends(v, w) for w in images(v))
+        count *= sum(_extends(adjacent, image, v, w) for w in _images(adjacent, image, v))
         image[v] = v
-        free.remove(v)
     return count
 
 
