@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .competition import check_theorem_1_1
 from .engine import (
@@ -112,8 +112,7 @@ _GROUPS = (
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
 
 
-@dataclass
-class HarnessConfig:
+class HarnessConfig(NamedTuple):
     seed: int = 42
     n_max_thm11: int = 40
     n_max_path: int = 6
@@ -126,14 +125,13 @@ class HarnessConfig:
     arc_cap: int = GREEDY_ARC_CAP
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim_id: str
     mode: str
     status: str  # pass | fail | reported | skipped
-    instances: int = 0
-    failures: list = field(default_factory=list)
-    values: dict = field(default_factory=dict)
+    instances: int
+    failures: list
+    values: dict
 
     def to_json(self) -> dict:
         return {

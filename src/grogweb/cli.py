@@ -282,12 +282,10 @@ def cmd_verify(args) -> int:
     ids = [args.claim] if args.claim else claims.CLAIM_ORDER
     config = claims.HarnessConfig(seed=args.seed)
     if args.max_arcs is not None:
-        config.arc_cap = args.max_arcs
+        config = config._replace(arc_cap=args.max_arcs)
     if args.n_max is not None:
-        for cid in ids:
-            field = claims.CLAIM_INFO[cid][2]
-            if field:
-                setattr(config, field, args.n_max)
+        fields = {claims.CLAIM_INFO[cid][2] for cid in ids} - {None}
+        config = config._replace(**dict.fromkeys(fields, args.n_max))
     report = claims.run_claims(ids, config)
 
     json_text = _json_text(report)

@@ -26,15 +26,14 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress, repeat
+from typing import NamedTuple
 
 from .graphs import Digraph, GraphError, UGraph, ugraph_to_dot, ugraph_to_json
 from .jaco import JacoGraph, build_jaco
 
 
-@dataclass(frozen=True)
-class CompetitionGraph:
+class CompetitionGraph(NamedTuple):
     """Undirected competition graph plus its isolated vertices.
 
     The vertex set of the source digraph is kept in full; `isolated`
@@ -106,8 +105,7 @@ def _closed_form(jg: JacoGraph) -> CompetitionGraph:
     return CompetitionGraph(UGraph(jg.n, tuple(chain.from_iterable(runs))), tuple(isolated))
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Per-order comparison of the closed form against the definition."""
 
     n_min: int

@@ -50,10 +50,10 @@ cost is its 2^arcs masks, bounded by an arc cap (GREEDY_ARC_CAP).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from .graphs import CapExceeded, Digraph, GraphError
 
@@ -77,11 +77,16 @@ class NonTerminalError(StrategyError):
     """A strategy run with require_exit stopped before the game ended."""
 
 
-@dataclass(frozen=True)
-class Web:
-    """A predation web: populations are fixed by the labels, pop(v_i) = i."""
-
+class _WebFields(NamedTuple):
     digraph: Digraph
+
+
+class Web(_WebFields):
+    """A predation web: populations are fixed by the labels, pop(v_i) = i.
+
+    Unlike the other records, a web declares no `__slots__`, so each web
+    has an instance `__dict__`, where `incident_arcs` is kept once read.
+    """
 
     @property
     def n(self) -> int:
@@ -105,25 +110,35 @@ class Web:
         return tuple(map(tuple, at))
 
 
-@dataclass(frozen=True)
-class PredationBatch:
-    """One move: `predator` consumes the out-arcs to each vertex in `prey`."""
-
+class _BatchFields(NamedTuple):
     predator: int
     prey: frozenset[int]
 
-    def __init__(self, predator: int, prey):
-        object.__setattr__(self, "predator", predator)
-        object.__setattr__(self, "prey", frozenset(prey))
-        if not self.prey:
+
+class PredationBatch(_BatchFields):
+    """One move: `predator` consumes the out-arcs to each vertex in `prey`.
+
+    `prey` may be given as any iterable; it is kept as a frozenset.
+    `_make` and `_replace` go through the same check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, predator: int, prey):
+        prey = frozenset(prey)
+        if not prey:
             raise GraphError("a predation batch needs at least one prey vertex")
+        return tuple.__new__(cls, (predator, prey))
+
+    @classmethod
+    def _make(cls, iterable) -> PredationBatch:
+        return cls(*iterable)
 
 
 Strategy = tuple[PredationBatch, ...]
 
 
-@dataclass(frozen=True)
-class GrogState:
+class GrogState(NamedTuple):
     """Remaining arcs plus current populations during a run.
 
     Invariant: pop(v_i) = i - (consumed arcs incident to v_i), all
@@ -141,24 +156,21 @@ class GrogState:
         return not legal_predations(self)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     final_state: GrogState
     residual: int
     predation_count: int
     used_arcs: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     grog: int
     witness: Strategy
     max_predations: int
     states_explored: int
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     count: int
     min_residual: int
 
@@ -518,51 +530,57 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
     fact = [factorial(k) for k in range(eps + 1)]
     full = (1 << eps) - 1
     total = web.total_population
-    memo: dict[int, tuple[int, int]] = {}
-
-    def walk(mask: int) -> tuple[int, int]:
-        """(count, min residual) from `mask`, which the caller found unmemoised."""
-        used = full ^ mask
-        dead = 0
-        pop = {}
-        for v, at in tight:
-            p = v - (used & at).bit_count()
-            if p < 1:
-                dead |= at
-            else:
-                pop[v] = p
-        legal = mask & ~dead
-        if not legal:
-            return 1, total - 2 * used.bit_count()
-        count = 0
-        best = total
-        for t, mine in tails:
-            mine &= legal
-            if not mine:
-                continue
-            size = mine.bit_count()
-            ell = min(pop.get(t, size), size)
-            if ell == size:
-                choices = (mine,)
-            else:
-                bits = []
-                while mine:
-                    low = mine & -mine
-                    bits.append(low)
-                    mine ^= low
-                choices = map(sum, combinations(bits, ell))
-            mult = fact[ell]
-            for chosen in choices:
-                child = mask ^ chosen
-                sub_count, sub_res = memo.get(child) or walk(child)
-                count += sub_count * mult
-                if sub_res < best:
-                    best = sub_res
-        memo[mask] = count, best
-        return count, best
-
-    count, min_residual = walk(full)
+    count, min_residual = _greedy_walk(full, full, total, tight, tails, fact, {})
     return GreedyResult(count=count, min_residual=min_residual)
+
+
+def _greedy_walk(mask: int, full: int, total: int, tight, tails, fact, memo) -> tuple[int, int]:
+    """(count, min residual) of the greedy strategies from `mask`.
+
+    The caller found `mask` unmemoised.  `tight` holds (v, incidence mask)
+    of the vertices that meet more arcs than their label, `tails` holds
+    (t, out-arc mask) of every tail, `fact` the factorials and `memo`
+    the counts of the masks walked so far in this `enumerate_greedy` call.
+    """
+    used = full ^ mask
+    dead = 0
+    pop = {}
+    for v, at in tight:
+        p = v - (used & at).bit_count()
+        if p < 1:
+            dead |= at
+        else:
+            pop[v] = p
+    legal = mask & ~dead
+    if not legal:
+        return 1, total - 2 * used.bit_count()
+    count = 0
+    best = total
+    for t, mine in tails:
+        mine &= legal
+        if not mine:
+            continue
+        size = mine.bit_count()
+        ell = min(pop.get(t, size), size)
+        if ell == size:
+            choices = (mine,)
+        else:
+            bits = []
+            while mine:
+                low = mine & -mine
+                bits.append(low)
+                mine ^= low
+            choices = map(sum, combinations(bits, ell))
+        mult = fact[ell]
+        for chosen in choices:
+            child = mask ^ chosen
+            sub_count, sub_res = memo.get(child) or _greedy_walk(
+                child, full, total, tight, tails, fact, memo)
+            count += sub_count * mult
+            if sub_res < best:
+                best = sub_res
+    memo[mask] = count, best
+    return count, best
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -35,8 +34,7 @@ ORIENTATION_EDGE_CAP = 20
 INDEXING_CAP = 8
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(NamedTuple):
     """Simple directed graph on vertices 1..n, arcs sorted by (tail, head)."""
 
     n: int
@@ -55,8 +53,7 @@ class Digraph:
         return sum(1 for _, h in self.arcs if h == v)
 
 
-@dataclass(frozen=True)
-class UGraph:
+class UGraph(NamedTuple):
     """Simple undirected graph on vertices 1..n, edges sorted with u < v."""
 
     n: int

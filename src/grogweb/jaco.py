@@ -28,16 +28,15 @@ n - 1, and 2i - n must be non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from .graphs import CapExceeded, Digraph, GraphError, digraph_to_json
 
 JACO_ORDER_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class JacoGraph:
+class JacoGraph(NamedTuple):
     """J_n(1) plus its degree tables and Jaconian vertex.
 
     in_deg / out_deg are 1-indexed via position i - 1.  jaconian is None

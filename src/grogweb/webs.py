@@ -29,8 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .engine import SolveResult, Strategy, Web, solve_exact
 from .graphs import (
@@ -190,8 +189,7 @@ def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, SolveResult]]:
         yield labels, web, solve_exact(web)
 
 
-@dataclass(frozen=True)
-class GraphGrogResult:
+class GraphGrogResult(NamedTuple):
     """Graph-level grog number with its witness web and strategy."""
 
     grog: int

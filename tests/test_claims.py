@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -203,7 +202,7 @@ class TestRegistry:
         assert len(grouped) == len(set(grouped))
 
     def test_n_max_fields_are_config_fields(self):
-        fields = {f.name for f in dataclasses.fields(HarnessConfig)}
+        fields = set(HarnessConfig._fields)
         mapped = {info[2] for info in CLAIM_INFO.values()} - {None}
         assert mapped == {f for f in fields if f.startswith("n_max_")}
 
@@ -297,12 +296,12 @@ class TestRunAll:
         assert a == b
 
     def test_other_seed_keeps_claim_set(self):
-        other = dataclasses.replace(SMALL, seed=7)
+        other = SMALL._replace(seed=7)
         report = run_all(other)
         assert [c["id"] for c in report["claims"]] == CLAIM_ORDER
 
     def test_below_domain_becomes_skipped(self):
-        config = dataclasses.replace(SMALL, n_max_path=2)
+        config = SMALL._replace(n_max_path=2)
         report = run_all(config)
         by_id = {c["id"]: c for c in report["claims"]}
         assert by_id["cor-2.5"]["status"] == "skipped"
@@ -311,7 +310,7 @@ class TestRunAll:
         assert report["status"] == "fail"
 
     def test_skipped_assert_claim_is_incomplete(self):
-        config = dataclasses.replace(SMALL, n_max_path=WEB_N_CAP + 1)
+        config = SMALL._replace(n_max_path=WEB_N_CAP + 1)
         report = run_claims(["cor-2.5"], config)
         assert report["claims"][0]["status"] == "skipped"
         assert report["status"] == "incomplete"

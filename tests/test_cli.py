@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import time
@@ -390,8 +389,8 @@ class TestNMaxRouting:
             assert cli.main(["verify", *argv]) == 0
             (ids, config), = seen
             seen.clear()
-            default = dataclasses.asdict(claims.HarnessConfig())
-            changed = {k: v for k, v in dataclasses.asdict(config).items() if default[k] != v}
+            default = claims.HarnessConfig()._asdict()
+            changed = {k: v for k, v in config._asdict().items() if default[k] != v}
             return ids, changed
 
         return run

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import tracemalloc
@@ -271,6 +272,19 @@ class TestEnumerateGreedy:
         ]
         got = [enumerate_greedy(Web(build_jaco(n).digraph)) for n in range(2, 11)]
         assert [(g.count, g.min_residual) for g in got] == expected
+
+    def test_leaves_no_cyclic_garbage(self):
+        # J_11's walk memoises 1,023 masks; none may wait for the cyclic collector
+        w = Web(build_jaco(11).digraph)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert enumerate_greedy(w).count > 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @st.composite

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from conftest import jaco_fixed_point_holds, oracle_jaco
 
@@ -99,7 +97,7 @@ class TestJaconian:
         assert check_jaconian(jg) == jaconian_vertex(5) == 3
         # v_3 reaching only itself breaks i + d+(v_i) in {n - 1, n}
         with pytest.raises(RuntimeError, match="i \\+ d\\+"):
-            check_jaconian(dataclasses.replace(jg, out_deg=(1, 1, 0, 1, 0)))
+            check_jaconian(jg._replace(out_deg=(1, 1, 0, 1, 0)))
 
     def test_order_1_has_no_jaconian(self):
         assert build_jaco(1).jaconian is None

@@ -1,9 +1,10 @@
 """The lazy `grogweb` namespace and what each entry point loads.
 
 `import grogweb` loads no submodule, an exported name loads only the
-submodule that defines it, and each CLI subcommand loads only the modules
-it uses.  Module sets are read from `sys.modules` of a fresh interpreter,
-since this test process has long since imported the whole package.
+submodule that defines it, each CLI subcommand loads only the modules
+it uses, and no call loads `dataclasses` or `inspect`.  Module sets are
+read from `sys.modules` of a fresh interpreter, since this test process
+has long since imported the whole package.
 """
 
 import importlib
@@ -53,17 +54,16 @@ ALL = [
     "solve_exact", "star_graph", "underlying", "web_count_formula",
 ]
 
-# prints the grogweb modules in sys.modules at exit, after the statement or CLI call
+# prints the modules in sys.modules at exit, after the statement or CLI call
 REPORT = (
     "import atexit, sys\n"
-    "atexit.register(lambda: print(' '.join(sorted(m for m in sys.modules"
-    " if m.split('.')[0] == 'grogweb')), file=sys.stderr))\n"
+    "atexit.register(lambda: print(' '.join(sorted(sys.modules)), file=sys.stderr))\n"
 )
 CLI = REPORT + "import runpy\nrunpy.run_module('grogweb', run_name='__main__', alter_sys=True)\n"
 
 
-def loaded(code: str, *argv: str) -> set[str]:
-    """grogweb modules loaded by `code` (run with `argv`) in a fresh interpreter."""
+def modules(code: str, *argv: str) -> set[str]:
+    """Every module loaded by `code` (run with `argv`) in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -71,6 +71,11 @@ def loaded(code: str, *argv: str) -> set[str]:
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
+
+
+def loaded(code: str, *argv: str) -> set[str]:
+    """grogweb modules loaded by `code` (run with `argv`) in a fresh interpreter."""
+    return {m for m in modules(code, *argv) if m.split(".")[0] == "grogweb"}
 
 
 BASE = {"grogweb"}
@@ -97,6 +102,17 @@ def test_import_loads_only_its_modules(statement, modules):
 ], ids=["jaco", "competition", "help"])
 def test_cli_loads_only_its_modules(argv, modules):
     assert loaded(CLI, *argv) == modules
+
+
+# records are named tuples: `dataclasses` would bring `inspect`, and with it
+# `ast`, `dis` and `tokenize`, into every call
+@pytest.mark.parametrize("code, argv", [
+    (REPORT + "import grogweb.claims", []),
+    (CLI, ["jaco", "--n", "5"]),
+    (CLI, ["--help"]),
+], ids=["import-claims", "jaco", "help"])
+def test_no_dataclasses_or_inspect(code, argv):
+    assert not modules(code, *argv) & {"dataclasses", "inspect"}
 
 
 def test_grog_solve_loads_no_enumeration_or_harness(tmp_path):

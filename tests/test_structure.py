@@ -1,7 +1,8 @@
 """Structure guard: no private imports across modules, no unbounded caches,
 no claim id outside the harness's catalog module, no settable cap
 outside the greedy counter, no n! indexing walk outside web
-enumeration, and no import inside a library function.
+enumeration, no import inside a library function, and no `dataclasses`
+import.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -130,6 +131,27 @@ def function_imports(tree: ast.Module, module: str) -> list[str]:
     return found
 
 
+# `dataclasses` imports `inspect`, and with it `ast`, `dis` and `tokenize`:
+# about 10 ms of start-up in every process.  Records are named tuples.
+BANNED_MODULES = {"dataclasses"}
+
+
+def banned_imports(tree: ast.AST) -> list[str]:
+    """`import` and `from ... import` statements of a module in BANNED_MODULES."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: {name}" for name in names if name.split(".")[0] in BANNED_MODULES
+        ]
+    return found
+
+
 def _parse(path: Path) -> ast.AST:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -158,6 +180,11 @@ def test_only_web_enumeration_walks_indexings():
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_imports_inside_library_functions(path):
     assert function_imports(_parse(path), path.stem) == []
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    assert banned_imports(_parse(path)) == []
 
 
 def test_cli_holds_no_claim_id():
@@ -238,4 +265,18 @@ def test_guard_catches_violations():
     assert function_imports(tree, "__init__") == [
         "line 3: __init__.cmd_jaco", "line 5: __init__.solve", "line 7: __init__.solve",
         "line 11: __init__.play",
+    ]
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import json, dataclasses as dc\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "from typing import NamedTuple\n"
+        "from .dataclasses import x\n"
+        "import dataclasses_json\n"
+    )
+    assert banned_imports(tree) == [
+        "line 1: dataclasses", "line 2: dataclasses", "line 3: dataclasses",
+        "line 5: dataclasses",
     ]
