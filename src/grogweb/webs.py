@@ -5,6 +5,8 @@ webs.  Webs whose arc sets coincide are the same web; they arise from
 base-graph automorphisms acting simultaneously on labels and directions,
 and deduplication keeps the first occurrence in stream order, which is
 the lexicographically least (label sequence, arc set) representative.
+It works by labelled edge set: an indexing whose edge set came earlier
+is skipped whole, since an earlier indexing streamed all its webs.
 The n! indexings give n!/|Aut(G)| distinct labelled edge sets, each with
 2^eps orientations that are all distinct webs, so the deduplicated count
 is n! * 2^eps / |Aut(G)|.  For bases with exactly 2 automorphisms that
@@ -19,9 +21,9 @@ direction plays no part.  Every orientation of a labelled edge set
 therefore has the same grog number.  Nor do most labels matter: a vertex
 meets at most its degree of arcs, so a label of at least the maximum
 degree D never binds, and only where labels 1..D-1 sit changes the
-value.  Graph-level values therefore cost one exact solve per placement
-of those labels, n!/(n-D+1)! of them, not one per indexing (n!) or per
-web (n! * 2^eps).
+value.  Graph-level values therefore cost one exact solve per distinct
+web of the placements of those labels, at most n!/(n-D+1)! (star_8: 7),
+not one per indexing (n!) or per web (n! * 2^eps).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .graphs import (
     indexings,
     is_connected,
     make_ugraph,
+    orientations,
 )
 
 WEB_N_CAP = INDEXING_CAP
@@ -101,27 +104,25 @@ def _check_base(g: UGraph) -> None:
 def enumerate_webs(g: UGraph, dedup: bool = False) -> Iterator[Web]:
     """Stream the webs of a connected base graph.
 
-    Outer loop: indexings in lexicographic order.  Inner loop: direction
-    bits in binary counting order applied to the sorted base edges.
-    With dedup, each arc set is emitted once, at first occurrence.
+    Outer loop: indexings in lexicographic order.  Inner loop: the base's
+    `orientations`, relabelled by the indexing.  With dedup, an indexing
+    whose labelled edge set came earlier is skipped whole: its 2^eps webs
+    are the orientations of that edge set, all streamed by the earlier
+    indexing, so each arc set is still emitted once, at first occurrence.
     """
     _check_base(g)
-    eps = len(g.edges)
+    oriented = [d.arcs for d in orientations(g)]
 
     def gen() -> Iterator[Web]:
-        seen: set[tuple[tuple[int, int], ...]] = set()
+        seen: set[frozenset[frozenset[int]]] = set()
         for labels in indexings(g.n):
-            for mask in range(1 << eps):
-                arcs = []
-                for k, (p, q) in enumerate(g.edges):
-                    a, b = labels[p - 1], labels[q - 1]
-                    arcs.append((a, b) if not mask >> k & 1 else (b, a))
-                key = tuple(sorted(arcs))
-                if dedup:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield Web(Digraph(g.n, key))
+            if dedup:
+                edges = frozenset(frozenset((labels[p - 1], labels[q - 1])) for p, q in g.edges)
+                if edges in seen:
+                    continue
+                seen.add(edges)
+            for arcs in oriented:
+                yield Web(Digraph(g.n, tuple(sorted((labels[t - 1], labels[h - 1]) for t, h in arcs))))
 
     return gen()
 
@@ -173,20 +174,24 @@ def automorphism_count(g: UGraph) -> int:
 
 
 def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, SolveResult]]:
-    """One exact solve per placement of labels 1..k, k = max(D - 1, 0) for max degree D.
+    """Each placement of labels 1..k, k = max(D - 1, 0) for max degree D, solved.
 
     Each placement gives the other labels, in ascending order, to the free
     positions in position order: the lexicographically least indexing with
-    that placement.  Its mask-0 web, as `enumerate_webs` emits it, is solved.
+    that placement.  Its mask-0 web, as `enumerate_webs` emits it, is solved
+    once per distinct web (a star's placements share one per center label).
     """
     _check_base(g)
     k = max(max(g.degree(v) for v in range(1, g.n + 1)) - 1, 0)
+    solved: dict[Web, SolveResult] = {}
     for placed in itertools.permutations(range(1, g.n + 1), k):
         rest = iter(range(k + 1, g.n + 1))
         position = {p: label for label, p in enumerate(placed, 1)}
         labels = tuple(position.get(p) or next(rest) for p in range(1, g.n + 1))
         web = Web(Digraph(g.n, tuple(sorted((labels[p - 1], labels[q - 1]) for p, q in g.edges))))
-        yield labels, web, solve_exact(web)
+        if web not in solved:
+            solved[web] = solve_exact(web)
+        yield labels, web, solved[web]
 
 
 class GraphGrogResult(NamedTuple):

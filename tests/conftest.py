@@ -221,6 +221,30 @@ def oracle_graph_values(g):
     return best.grog, web, best.witness, hist
 
 
+def oracle_webs(g, dedup: bool) -> list[Web]:
+    """Every web of base graph g in stream order, by the per-web mask loop.
+
+    Indexings in lexicographic order; for each, direction masks in binary
+    counting order, where a set bit k reverses base edge k (edges sorted;
+    a clear bit keeps the arc (label of p, label of q)).  With dedup, each
+    arc set is kept at its first occurrence, checked web by web.
+    """
+    seen = set()
+    webs = []
+    for labels in itertools.permutations(range(1, g.n + 1)):
+        for mask in range(2 ** len(g.edges)):
+            arcs = []
+            for k, (p, q) in enumerate(g.edges):
+                a, b = labels[p - 1], labels[q - 1]
+                arcs.append((b, a) if mask >> k & 1 else (a, b))
+            key = tuple(sorted(arcs))
+            if dedup and key in seen:
+                continue
+            seen.add(key)
+            webs.append(Web(Digraph(g.n, key)))
+    return webs
+
+
 def oracle_automorphism_count(g) -> int:
     """|Aut(g)| by checking every one of the n! vertex permutations."""
     edges = set(g.edges)

@@ -8,7 +8,7 @@ from conftest import EXAMPLE1_WEBS, oracle_solve, run_cli
 
 from grogweb import claims, cli
 from grogweb.engine import Web, enumerate_greedy, solve_exact, strategy_to_json
-from grogweb.graphs import digraph_to_json, make_digraph, ugraph_to_json
+from grogweb.graphs import GraphError, digraph_to_json, make_digraph, ugraph_to_json
 from grogweb.jaco import build_jaco, jaco_to_json
 from grogweb.webs import (
     complete_graph,
@@ -358,6 +358,37 @@ def test_enumerate_greedy_output_is_pinned(capsys, family, n):
     assert cli.main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == ENUMERATE_SHA256[family, n]
+
+
+# sha256 of the stdout of `grogweb enumerate --graph G --n N --distribution
+# --format json` without --dedup: every web of the stream, in stream order
+ENUMERATE_STREAM_SHA256 = {
+    ("cycle", 4): "68ef413da4da1a0eb653596c999f2d877824f478ddac01719a22b46a9429b8cc",
+    ("path", 4): "405d177fff88512cb4df0c5afcb0ac6e96f37db382f4a7c2a87b83857937fc0c",
+    ("star", 4): "d9d280504b43f810c6119e85ab44ac44fbd8f64114b0ccd102eb5124f5affeb6",
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(ENUMERATE_STREAM_SHA256))
+def test_enumerate_stream_output_is_pinned(capsys, family, n):
+    argv = ["enumerate", "--graph", family, "--n", str(n), "--distribution", "--format", "json"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == ENUMERATE_STREAM_SHA256[family, n]
+
+
+@pytest.mark.parametrize(
+    "error", [GraphError("bad base"), OverflowError("count too large"), OSError("disk full")],
+    ids=lambda e: type(e).__name__,
+)
+def test_library_errors_exit_with_usage(monkeypatch, capsys, error):
+    def failing(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_jaco", failing)
+    assert cli.main(["jaco", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
 
 
 # the HarnessConfig field that --n-max sets for each range claim

@@ -1,8 +1,8 @@
 """Structure guard: no private imports across modules, no unbounded caches,
 no claim id outside the harness's catalog module, no settable cap
 outside the greedy counter, no n! indexing walk outside web
-enumeration, no import inside a library function, and no `dataclasses`
-import.
+enumeration, no direction-mask loop outside `graphs.orientations`, no
+import inside a library function, and no `dataclasses` import.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -103,6 +103,28 @@ def indexing_callers(tree: ast.Module, module: str) -> list[str]:
     ]
 
 
+def _is_mask_range(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and _callee_name(node.func) == "range"
+        and any(
+            isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.LShift)
+            and isinstance(arg.left, ast.Constant) and arg.left.value == 1
+            for arg in node.args
+        )
+    )
+
+
+def mask_loops(tree: ast.Module, module: str) -> list[str]:
+    """`module.name` of each top-level definition that loops over `range(1 << ...)`."""
+    return [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, (ast.For, ast.comprehension)) and _is_mask_range(node.iter)
+    ]
+
+
 # A deferred import inside a library call would move start-up cost into
 # timed work and hide it from the benchmark's `setup_s`.  Only the CLI's
 # subcommands, which import what each one uses, and the lazy namespace's
@@ -177,6 +199,12 @@ def test_only_web_enumeration_walks_indexings():
     assert callers == ["webs.enumerate_webs"]
 
 
+def test_only_orientations_walks_direction_masks():
+    # web enumeration relabels the base's orientations instead
+    loops = [c for path in SRC_FILES for c in mask_loops(_parse(path), path.stem)]
+    assert loops == ["graphs.orientations"]
+
+
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_imports_inside_library_functions(path):
     assert function_imports(_parse(path), path.stem) == []
@@ -239,6 +267,22 @@ def test_guard_catches_violations():
     )
     assert indexing_callers(tree, "webs") == [
         "webs.enumerate_webs", "webs.solve_all", "webs.<module>",
+    ]
+    tree = ast.parse(
+        "def orientations(g):\n"
+        "    def gen():\n"
+        "        for mask in range(1 << len(g.edges)):\n"
+        "            yield mask\n"
+        "    return gen()\n"
+        "def enumerate_webs(g):\n"
+        "    return [m for labels in g for m in range(0, 1 << g.eps)]\n"
+        "for mask in range(1 << 3): pass\n"
+        "def fine(g):\n"
+        "    full = (1 << g.eps) - 1\n"
+        "    return [k for k in range(g.eps)] + [m for m in range(2 << g.eps)]\n"
+    )
+    assert mask_loops(tree, "graphs") == [
+        "graphs.orientations", "graphs.enumerate_webs", "graphs.<module>",
     ]
     tree = ast.parse(
         "import json\n"

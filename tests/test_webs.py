@@ -3,13 +3,18 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS, oracle_automorphism_count, oracle_graph_values
+from conftest import (
+    EXAMPLE1_WEBS,
+    oracle_automorphism_count,
+    oracle_graph_values,
+    oracle_webs,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grogweb.webs as webs
 from grogweb.engine import run_strategy, solve_exact
-from grogweb.graphs import CapExceeded, GraphError, make_ugraph
+from grogweb.graphs import CapExceeded, GraphError, make_ugraph, orientations
 from grogweb.webs import (
     automorphism_count,
     complete_graph,
@@ -199,23 +204,33 @@ class TestPlacements:
             return solve_exact(web)
 
         monkeypatch.setattr(webs, "solve_exact", counting)
+        # labels 1..D-1 placed injectively give n!/(n-D+1)! placements for
+        # max degree D; placements that share their web share its solve
         cases = [
-            (path_graph(6), 6),
-            (cycle_graph(6), 6),
-            (star_graph(4), 12),
-            (complete_graph(4), 12),
-            (path_graph(2), 1),
-            (make_ugraph(1, []), 1),
+            (path_graph(6), 6, 6),
+            (cycle_graph(6), 6, 6),
+            (star_graph(4), 12, 3),
+            (star_graph(8), 20160, 7),
+            (complete_graph(4), 12, 12),
+            (path_graph(2), 1, 1),
+            (make_ugraph(1, []), 1, 1),
         ]
-        for base, solves in cases:
-            # labels 1..D-1 placed injectively: n!/(n-D+1)! solves for max degree D
+        for base, placements, solves in cases:
             delta = max(base.degree(v) for v in range(1, base.n + 1))
             k = max(delta - 1, 0)
-            assert solves == math.factorial(base.n) // math.factorial(base.n - k)
+            assert placements == math.factorial(base.n) // math.factorial(base.n - k)
             for graph_level in (grog_number, residual_distribution):
                 calls.clear()
                 graph_level(base)
                 assert len(calls) == solves, (base, graph_level.__name__)
+                assert len(set(calls)) == solves
+
+    def test_each_solve_belongs_to_its_web(self):
+        # K4's placement webs are distinct tournaments on one edge set
+        for base in (complete_graph(4), star_graph(5), cycle_graph(5), path_graph(5)):
+            for _, web, result in webs._placements(base):
+                replay = run_strategy(web, result.witness, require_exit=True)
+                assert replay.residual == result.grog, (base, web)
 
     def test_raises_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -232,8 +247,33 @@ class TestPlacements:
 
 
 class TestAgainstOracle:
-    """Graph-level values from label placements agree with one solve per
+    """The web stream agrees with the per-web direction-mask loop, and
+    graph-level values from label placements agree with one solve per
     labelled edge set over all n! indexings."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(connected_bases(max_n=5, max_edges=7))
+    @example(star_graph(5))
+    @example(complete_graph(4))
+    @example(cycle_graph(5))
+    @example(path_graph(2))
+    @example(make_ugraph(1, []))
+    def test_web_stream(self, g):
+        for dedup in (False, True):
+            assert list(enumerate_webs(g, dedup)) == oracle_webs(g, dedup), dedup
+
+    def test_one_orientations_call(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return orientations(g)
+
+        monkeypatch.setattr(webs, "orientations", counting)
+        for dedup in (False, True):
+            calls.clear()
+            assert sum(1 for _ in enumerate_webs(cycle_graph(4), dedup)) == (384, 48)[dedup]
+            assert calls == [cycle_graph(4)]
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(connected_bases(max_n=7, max_edges=9))
