@@ -191,25 +191,35 @@ def cmd_enumerate(args) -> int:
         base = families[args.graph](args.n)
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
-    webs = list(enumerate_webs(base, dedup=args.dedup))
     formula = web_count_formula(base.n, len(base.edges))
-    # every orientation of a labelled edge set shares its grog number
+    cap = GREEDY_ARC_CAP if args.max_arcs is None else args.max_arcs
+    # webs are streamed: only counts, the witness, one grog per labelled
+    # edge set (every orientation of one shares it) and json rows are kept
     solved: dict[tuple[tuple[int, int], ...], int] = {}
-    grogs = []
-    for w in webs:
+    grogs: Counter[int] = Counter()
+    greedy_counts = set()
+    rows = []
+    grog = witness = None
+    for w in enumerate_webs(base, dedup=args.dedup):
         key = underlying(w.digraph).edges
         if key not in solved:
             solved[key] = solve_exact(w).grog
-        grogs.append(solved[key])
-    grog = min(grogs)
-    witness = webs[grogs.index(grog)]
-
-    distribution = None
-    greedy = None
-    if args.distribution:
-        distribution = dict(sorted(Counter(grogs).items()))
-        cap = GREEDY_ARC_CAP if args.max_arcs is None else args.max_arcs
-        greedy = [enumerate_greedy(w, cap=cap) for w in webs]
+        value = solved[key]
+        grogs[value] += 1
+        if grog is None or value < grog:
+            grog, witness = value, w
+        if args.distribution:
+            g = enumerate_greedy(w, cap=cap)
+            greedy_counts.add(g.count)
+            if args.format == "json":
+                rows.append({
+                    "arcs": [list(a) for a in w.digraph.arcs],
+                    "grog": value,
+                    "greedy_count": g.count,
+                    "greedy_min": g.min_residual,
+                })
+    web_count = sum(grogs.values())
+    distribution = dict(sorted(grogs.items())) if args.distribution else None
 
     if args.format == "csv":
         if distribution is None:
@@ -219,7 +229,7 @@ def cmd_enumerate(args) -> int:
         obj = {
             "base": ugraph_to_json(base),
             "dedup": args.dedup,
-            "web_count": len(webs),
+            "web_count": web_count,
             "formula_count": formula,
             "grog": grog,
             "witness": digraph_to_json(witness.digraph),
@@ -228,29 +238,20 @@ def cmd_enumerate(args) -> int:
             obj["distribution"] = [
                 {"residual": r, "count": c} for r, c in distribution.items()
             ]
-            obj["webs"] = [
-                {
-                    "arcs": [list(a) for a in w.digraph.arcs],
-                    "grog": value,
-                    "greedy_count": g.count,
-                    "greedy_min": g.min_residual,
-                }
-                for w, value, g in zip(webs, grogs, greedy)
-            ]
+            obj["webs"] = rows
         text = _json_text(obj)
     else:
         lines = [
             f"base graph: n={base.n}, {len(base.edges)} edges",
-            f"webs enumerated: {len(webs)}{' (dedup)' if args.dedup else ''}"
+            f"webs enumerated: {web_count}{' (dedup)' if args.dedup else ''}"
             f"    half-formula count: {formula}",
             f"grog number g(G) = {grog}",
         ]
         if distribution is not None:
             lines.append("residual distribution:")
             lines += [f"  {r}: {c}" for r, c in distribution.items()]
-            counts = [g.count for g in greedy]
             lines.append(
-                f"greedy strategies per web: min {min(counts)}, max {max(counts)}"
+                f"greedy strategies per web: min {min(greedy_counts)}, max {max(greedy_counts)}"
             )
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)

@@ -24,12 +24,16 @@ arc's endpoints are still positive when it is played.  The largest such
 set is a maximum simple b-matching with b(v) = min(v, deg v), which the
 exact solver finds in polynomial time by reducing it to an ordinary
 maximum matching (the vertex-and-edge gadget of Tutte and Shiloach) and
-running Edmonds' blossom search on it.  The greedy counter walks
-remaining-arc bitmasks instead, because greedy counts depend on the
-orientation.  It keeps one incidence mask and one out-arc mask per
+running Edmonds' blossom search on it.  The greedy counter searches
+instead, because greedy counts depend on the orientation.  It walks
+remaining-arc masks with one incidence mask and one out-arc mask per
 vertex, so the populations, the legal arcs and each tail's legal
 out-arcs of a mask cost a few big-int operations per vertex, not a pass
-over the arcs.
+over the arcs.  It memoises on the live subgame, not on the mask: an arc
+that loses an endpoint to population 0 never becomes legal again, and
+only a tight vertex (one meeting more arcs than its label) can bind, so
+the legal arcs and the populations of the tight vertices still meeting
+one decide the rest of the game.
 
 A move is checked and charged by one in-place step, `_play`, on a
 mutable population list: `apply_batch` wraps it to return a new frozen
@@ -503,16 +507,22 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
     A predator's population never recovers, so blocks have pairwise
     distinct predators and the string determines the block structure.
 
-    The walk is memoised, within one call, on the bitmask of remaining
-    arcs, and works on whole masks.  Each vertex has an incidence mask and
-    an out-arc mask, built once.  Only a vertex that meets more arcs than
-    its label can run out of population or be bound by it, so only those
-    populations are computed: the label minus the consumed arcs in the
-    incidence mask.  The incidence masks of the vertices at population 0
-    are cleared from the remaining mask in one step, which leaves the
-    legal arcs, and a tail's legal out-arcs are its out-arc mask within
-    them.  A tail that may take all of its legal out-arcs has a single
-    branch.  Terminal masks are not memoised.
+    The walk works on masks of remaining arcs.  Each vertex has an
+    incidence mask and an out-arc mask, built once.  Only a tight vertex,
+    one that meets more arcs than its label, can run out of population or
+    be bound by it, so only those populations are computed.  Clearing the
+    incidence masks of the tight vertices at population 0 leaves the legal
+    arcs; a tail's legal out-arcs are its out-arc mask within them.
+
+    Within one call the walk is memoised on the live subgame, the legal
+    arcs plus the populations of the tight vertices that still meet one,
+    and returns the count and the most arcs still consumed.  The key is
+    exact: an arc that loses an endpoint to population 0 never becomes
+    legal again, a vertex that is not tight keeps at least as much
+    population as it has legal arcs, and a tight vertex with no legal arc
+    left is never touched again.  A second dict maps each mask walked,
+    terminal ones included, to its result, so a repeated child costs one
+    lookup.
     """
     arcs = web.digraph.arcs
     eps = len(arcs)
@@ -529,40 +539,48 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
     tails = [(t, out[t]) for t in range(1, n + 1) if out[t]]
     fact = [factorial(k) for k in range(eps + 1)]
     full = (1 << eps) - 1
-    total = web.total_population
-    count, min_residual = _greedy_walk(full, full, total, tight, tails, fact, {})
-    return GreedyResult(count=count, min_residual=min_residual)
+    count, most = _greedy_walk(full, full, tight, tails, fact, {}, {})
+    return GreedyResult(count=count, min_residual=web.total_population - 2 * most)
 
 
-def _greedy_walk(mask: int, full: int, total: int, tight, tails, fact, memo) -> tuple[int, int]:
-    """(count, min residual) of the greedy strategies from `mask`.
+def _greedy_walk(mask: int, full: int, tight, tails, fact, memo, seen) -> tuple[int, int]:
+    """(count, most further arcs consumed) of the greedy strategies from `mask`.
 
-    The caller found `mask` unmemoised.  `tight` holds (v, incidence mask)
-    of the vertices that meet more arcs than their label, `tails` holds
-    (t, out-arc mask) of every tail, `fact` the factorials and `memo`
-    the counts of the masks walked so far in this `enumerate_greedy` call.
+    The caller found `mask` missing from `seen`.  `tight` holds (v,
+    incidence mask) of the vertices that meet more arcs than their label,
+    `tails` holds (t, out-arc mask) of every tail and `fact` the
+    factorials.  Within one `enumerate_greedy` call, `memo` maps each
+    expanded live subgame to its result and `seen` each mask walked.
     """
     used = full ^ mask
     dead = 0
-    pop = {}
+    live = []
     for v, at in tight:
         p = v - (used & at).bit_count()
         if p < 1:
             dead |= at
         else:
-            pop[v] = p
+            live.append((v, p, at))
     legal = mask & ~dead
     if not legal:
-        return 1, total - 2 * used.bit_count()
+        seen[mask] = 1, 0
+        return 1, 0
+    pop = {v: p for v, p, at in live if at & legal}
+    key = legal, *pop.values()
+    result = memo.get(key)
+    if result is not None:
+        seen[mask] = result
+        return result
     count = 0
-    best = total
+    most = 0
     for t, mine in tails:
         mine &= legal
         if not mine:
             continue
         size = mine.bit_count()
-        ell = min(pop.get(t, size), size)
-        if ell == size:
+        ell = pop.get(t, size)
+        if ell >= size:
+            ell = size
             choices = (mine,)
         else:
             bits = []
@@ -574,13 +592,13 @@ def _greedy_walk(mask: int, full: int, total: int, tight, tails, fact, memo) -> 
         mult = fact[ell]
         for chosen in choices:
             child = mask ^ chosen
-            sub_count, sub_res = memo.get(child) or _greedy_walk(
-                child, full, total, tight, tails, fact, memo)
+            sub_count, sub_most = seen.get(child) or _greedy_walk(
+                child, full, tight, tails, fact, memo, seen)
             count += sub_count * mult
-            if sub_res < best:
-                best = sub_res
-    memo[mask] = count, best
-    return count, best
+            if sub_most + ell > most:
+                most = sub_most + ell
+    seen[mask] = memo[key] = count, most
+    return count, most
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +171,47 @@ def oracle_greedy(web: Web) -> tuple[int, int]:
 
     rec(new_state(web))
     return count, best
+
+
+def oracle_greedy_masks(web: Web) -> tuple[int, int]:
+    """(count, min residual) over greedy strategies by a walk memoised on
+    the mask of remaining arcs, so it reaches webs of 8-16 arcs.
+
+    A mask's populations are the labels minus the consumed arcs at each
+    vertex, its legal arcs the remaining arcs with both ends positive.
+    Each tail t with legal out-arcs takes L = min(pop t, its legal
+    out-arcs) of them, one branch per choice of which L arcs, each worth
+    L! orders.  Terminal masks are not memoised.
+    """
+    arcs = web.digraph.arcs
+    full = (1 << len(arcs)) - 1
+    inc = [0] * (web.n + 1)
+    for k, (t, h) in enumerate(arcs):
+        inc[t] |= 1 << k
+        inc[h] |= 1 << k
+    memo: dict[int, tuple[int, int]] = {}
+
+    def walk(mask: int) -> tuple[int, int]:
+        if mask in memo:
+            return memo[mask]
+        used = full ^ mask
+        pop = [v - (used & inc[v]).bit_count() for v in range(web.n + 1)]
+        legal = [k for k in range(len(arcs))
+                 if mask >> k & 1 and pop[arcs[k][0]] > 0 and pop[arcs[k][1]] > 0]
+        if not legal:
+            return 1, web.total_population - 2 * used.bit_count()
+        count, best = 0, web.total_population
+        for t in sorted({arcs[k][0] for k in legal}):
+            mine = [k for k in legal if arcs[k][0] == t]
+            ell = min(pop[t], len(mine))
+            for chosen in itertools.combinations(mine, ell):
+                sub_count, sub_best = walk(mask ^ sum(1 << k for k in chosen))
+                count += sub_count * math.factorial(ell)
+                best = min(best, sub_best)
+        memo[mask] = count, best
+        return count, best
+
+    return walk(full)
 
 
 def oracle_random_maximal_strategy(web: Web, rng) -> Strategy:

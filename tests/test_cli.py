@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -250,6 +251,19 @@ class TestEnumerateCommand:
         assert "webs enumerated: 12" in proc.stdout
         assert "g(G) = 2" in proc.stdout
         assert "min 2, max 2" in proc.stdout
+
+    def test_streams_the_webs(self, capsys):
+        # P_6 has 23,040 webs, about 11 MB if held as a list at once
+        cli.main(["enumerate", "--graph", "path", "--n", "3"])
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert cli.main(["enumerate", "--graph", "path", "--n", "6"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "webs enumerated: 23040" in capsys.readouterr().out
+        assert peak < 2 * 2**20
 
 
 SOLVE_WEBS = [(f"example1-{i}", make_digraph(3, sorted(arcs))) for i, arcs, _ in EXAMPLE1_WEBS]

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import random
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from conftest import (
     EXAMPLE1_WEBS,
     oracle_greedy,
+    oracle_greedy_masks,
     oracle_grog,
     oracle_legal_predations,
     oracle_max_consumable,
@@ -16,6 +18,7 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grogweb import engine
 from grogweb.claims import random_connected_web
 from grogweb.engine import (
     GrogState,
@@ -273,8 +276,29 @@ class TestEnumerateGreedy:
         got = [enumerate_greedy(Web(build_jaco(n).digraph)) for n in range(2, 11)]
         assert [(g.count, g.min_residual) for g in got] == expected
 
+    @pytest.mark.parametrize("w, expanded", [
+        (web(5, list(itertools.combinations(range(1, 6), 2))), 31),
+        (web(7, sorted([(1, v) for v in range(2, 8)] + [(2, 3), (4, 5), (6, 7)])), 15),
+        (web(8, sorted([(2, v) for v in (1, 3, 4, 5, 6, 7, 8)] + [(3, 4), (5, 6), (7, 8)])), 15),
+    ], ids=["transitive-K5", "star-v1", "star-v2"])
+    def test_masks_of_one_subgame_merge(self, monkeypatch, w, expanded):
+        """Masks with the same legal arcs and live tight populations are
+        expanded once; a remaining-arc memo expands 70, 50 and 155."""
+        walk = engine._greedy_walk
+        memos = []
+
+        def spy(*args):
+            memos.append(inspect.signature(walk).bind(*args).arguments["memo"])
+            return walk(*args)
+
+        monkeypatch.setattr(engine, "_greedy_walk", spy)
+        assert tuple(enumerate_greedy(w)) == oracle_greedy_masks(w)
+        assert len({id(m) for m in memos}) == 1
+        assert len(memos[0]) == expanded
+
     def test_leaves_no_cyclic_garbage(self):
-        # J_11's walk memoises 1,023 masks; none may wait for the cyclic collector
+        # J_11 has no tight vertex, so nothing merges and the walk memoises
+        # 1,023 subgames; none may wait for the cyclic collector
         w = Web(build_jaco(11).digraph)
         enabled = gc.isenabled()
         gc.collect()
@@ -479,6 +503,47 @@ def greedy_webs(draw):
 def test_greedy_counter_equals_literal_oracle(w):
     got = enumerate_greedy(w)
     assert (got.count, got.min_residual) == oracle_greedy(w)
+
+
+@st.composite
+def larger_greedy_webs(draw):
+    """Connected webs of 8-16 arcs: random ones on 6-9 vertices, stars
+    centred on v_1 or v_2 with extra leaf edges, and orientations of K_5.
+    In the stars and K_5, many masks share their legal arcs and live
+    populations, so the walk merges them."""
+    shape = draw(st.sampled_from(["random", "star", "k5"]))
+    if shape == "k5":
+        n = 5
+        edges = list(itertools.combinations(range(1, 6), 2))
+    elif shape == "star":
+        n = draw(st.integers(7, 9))
+        centre = draw(st.sampled_from([1, 2]))
+        edges = [tuple(sorted((centre, v))) for v in range(1, n + 1) if v != centre]
+        pool = [e for e in itertools.combinations(range(1, n + 1), 2) if centre not in e]
+        edges += draw(st.lists(st.sampled_from(pool), unique=True,
+                               min_size=max(1, 8 - len(edges)), max_size=16 - len(edges)))
+    else:
+        n = draw(st.integers(6, 9))
+        perm = draw(st.permutations(list(range(1, n + 1))))
+        edges = [tuple(sorted((perm[i], perm[draw(st.integers(0, i - 1))])))
+                 for i in range(1, n)]
+        pool = [e for e in itertools.combinations(range(1, n + 1), 2) if e not in edges]
+        edges += draw(st.lists(st.sampled_from(pool), unique=True, min_size=max(0, 8 - len(edges)),
+                               max_size=min(len(pool), 16 - len(edges))))
+    bits = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Web(Digraph(n, tuple(sorted(
+        (u, v) if keep else (v, u) for (u, v), keep in zip(edges, bits)
+    ))))
+
+
+@given(larger_greedy_webs())
+@example(web(5, list(itertools.combinations(range(1, 6), 2))))
+@example(web(7, sorted([(1, v) for v in range(2, 8)] + [(2, 3), (4, 5), (6, 7)])))
+@example(web(8, sorted([(2, v) for v in (1, 3, 4, 5, 6, 7, 8)] + [(3, 4), (5, 6), (7, 8)])))
+@settings(max_examples=60, deadline=None)
+def test_greedy_counter_equals_mask_oracle(w):
+    assert 8 <= len(w.digraph.arcs) <= 16
+    assert tuple(enumerate_greedy(w)) == oracle_greedy_masks(w)
 
 
 @given(random_webs())
