@@ -25,15 +25,20 @@ set is a maximum simple b-matching with b(v) = min(v, deg v), which the
 exact solver finds in polynomial time by reducing it to an ordinary
 maximum matching (the vertex-and-edge gadget of Tutte and Shiloach) and
 running Edmonds' blossom search on it.  The greedy counter searches
-instead, because greedy counts depend on the orientation.  It walks
+instead, because greedy counts depend on the orientation.  It first
+splits the web: a vertex that is not tight (one meeting no more arcs
+than its label) stays positive while it holds an arc and, as a tail,
+takes all its legal out-arcs, so arcs that share no tight vertex play
+independent games, whose greedy strings interleave with their blocks
+kept whole.  Each part is walked alone, counted by its number of blocks,
+and the parts are combined over the interleavings.  The walk runs over
 remaining-arc masks with one incidence mask and one out-arc mask per
 vertex, so the populations, the legal arcs and each tail's legal
-out-arcs of a mask cost a few big-int operations per vertex, not a pass
-over the arcs.  It memoises on the live subgame, not on the mask: an arc
-that loses an endpoint to population 0 never becomes legal again, and
-only a tight vertex (one meeting more arcs than its label) can bind, so
-the legal arcs and the populations of the tight vertices still meeting
-one decide the rest of the game.
+out-arcs of a mask cost a few big-int operations per vertex.  It
+memoises on the live subgame: an arc that loses an endpoint to
+population 0 never becomes legal again, and only a tight vertex can
+bind, so the legal arcs and the populations of the tight vertices still
+meeting one decide the rest of the game.
 
 A move is checked and charged by one in-place step, `_play`, on a
 mutable population list: `apply_batch` wraps it to return a new frozen
@@ -48,7 +53,8 @@ population 0, read off a per-web incidence table built once per `Web`.
 The exact solver's cost is its gadget, where each copy of v meets all
 deg(v) edge-vertices at v: SOLVER_GADGET_CAP bounds those copy edges,
 sum_v deg(v) * b(v), and no caller can move it.  The greedy counter's
-cost is its 2^arcs masks, bounded by an arc cap (GREEDY_ARC_CAP).
+cost is up to 2^arcs masks of its largest part, bounded by an arc cap
+on the whole web (GREEDY_ARC_CAP).
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .graphs import CapExceeded, Digraph, GraphError
@@ -507,22 +513,30 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
     A predator's population never recovers, so blocks have pairwise
     distinct predators and the string determines the block structure.
 
-    The walk works on masks of remaining arcs.  Each vertex has an
-    incidence mask and an out-arc mask, built once.  Only a tight vertex,
-    one that meets more arcs than its label, can run out of population or
-    be bound by it, so only those populations are computed.  Clearing the
-    incidence masks of the tight vertices at population 0 leaves the legal
-    arcs; a tail's legal out-arcs are its out-arc mask within them.
+    The web splits into independent parts.  A vertex v that is not
+    tight (deg v <= v) has population v - consumed >= its remaining
+    arcs, so it is positive while it holds an arc, and as a tail its
+    block takes all its legal out-arcs.  Joining each tail to the tight
+    heads of its out-arcs thus splits the arcs, grouped by tail, into
+    parts whose moves never change one another's legal arcs or block
+    sizes, and the web's greedy strings are the interleavings of the
+    parts' strings with each block kept whole.  Parts of B_1 and B_2
+    blocks interleave in C(B_1+B_2, B_1) ways, so each part is counted
+    by block count: its walk multiplies by L! << W per block, with
+    W = bit_length(3 * |part|!) above any count, and returns the strings
+    of B blocks at bits B * W.  A web of one part walks with W = 0.  The
+    most arcs consumed is the sum over the parts.
 
-    Within one call the walk is memoised on the live subgame, the legal
-    arcs plus the populations of the tight vertices that still meet one,
-    and returns the count and the most arcs still consumed.  The key is
-    exact: an arc that loses an endpoint to population 0 never becomes
-    legal again, a vertex that is not tight keeps at least as much
-    population as it has legal arcs, and a tight vertex with no legal arc
-    left is never touched again.  A second dict maps each mask walked,
-    terminal ones included, to its result, so a repeated child costs one
-    lookup.
+    Each part's walk runs over masks of its remaining arcs, with an
+    incidence and an out-arc mask per vertex.  Only a tight vertex can
+    run out of population or bind a block, so only those populations are
+    computed; clearing the incidence masks of the tight vertices at
+    population 0 leaves the legal arcs.  The walk is memoised on the live
+    subgame, the legal arcs plus the populations of the tight vertices
+    that still meet one: an arc that loses an endpoint to population 0
+    never becomes legal again, and a tight vertex with no legal arc left
+    is never touched again.  A second dict maps each mask walked to its
+    result, so a repeated child costs one lookup.
     """
     arcs = web.digraph.arcs
     eps = len(arcs)
@@ -538,9 +552,29 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
     tight = [(v, inc[v]) for v in range(1, n + 1) if inc[v].bit_count() > v]
     tails = [(t, out[t]) for t in range(1, n + 1) if out[t]]
     fact = [factorial(k) for k in range(eps + 1)]
-    full = (1 << eps) - 1
-    count, most = _greedy_walk(full, full, tight, tails, fact, {}, {})
-    return GreedyResult(count=count, min_residual=web.total_population - 2 * most)
+    part_of = list(range(n + 1))
+    for t, h in arcs:
+        if inc[h].bit_count() > h:
+            a, b = part_of[t], part_of[h]
+            part_of = [a if p == b else p for p in part_of]
+    parts: dict[int, int] = {}
+    for t, mine in tails:
+        parts[part_of[t]] = parts.get(part_of[t], 0) | mine
+    graded = [1]
+    most = 0
+    for part in parts.values():
+        w = (3 * fact[part.bit_count()]).bit_length() if len(parts) > 1 else 0
+        mine = [x for x in tails if x[1] & part]
+        packed, sub_most = _greedy_walk(part, part, [x for x in tight if x[1] & part], mine,
+                                        [f << w for f in fact], {}, {})
+        most += sub_most
+        counts = [packed >> (b * w) & ((1 << w) - 1) for b in range(len(mine) + 1)] if w else [packed]
+        merged = [0] * (len(graded) + len(counts) - 1)
+        for i, x in enumerate(graded):
+            for j, y in enumerate(counts):
+                merged[i + j] += x * y * comb(i + j, i)
+        graded = merged
+    return GreedyResult(count=sum(graded), min_residual=web.total_population - 2 * most)
 
 
 def _greedy_walk(mask: int, full: int, tight, tails, fact, memo, seen) -> tuple[int, int]:
@@ -549,8 +583,9 @@ def _greedy_walk(mask: int, full: int, tight, tails, fact, memo, seen) -> tuple[
     The caller found `mask` missing from `seen`.  `tight` holds (v,
     incidence mask) of the vertices that meet more arcs than their label,
     `tails` holds (t, out-arc mask) of every tail and `fact` the
-    factorials.  Within one `enumerate_greedy` call, `memo` maps each
-    expanded live subgame to its result and `seen` each mask walked.
+    factorials, each shifted left by the part's grading width.  Within
+    one part, `memo` maps each expanded live subgame to its result and
+    `seen` each mask walked.
     """
     used = full ^ mask
     dead = 0

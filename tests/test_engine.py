@@ -1,6 +1,8 @@
+import collections
 import gc
 import inspect
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -284,25 +286,28 @@ class TestEnumerateGreedy:
         assert [(g.count, g.min_residual) for g in got] == expected
 
     @pytest.mark.parametrize("w, expanded", [
-        (K5_TRANSITIVE, 31), (STAR_V1, 15), (STAR_V2, 15),
+        (K5_TRANSITIVE, 16), (STAR_V1, 4), (STAR_V2, 4),
     ], ids=["transitive-K5", "star-v1", "star-v2"])
     def test_masks_of_one_subgame_merge(self, monkeypatch, w, expanded):
         """Masks with the same legal arcs and live tight populations are
-        expanded once; a remaining-arc memo expands 70, 50 and 155."""
+        expanded once, and parts that share no tight vertex are walked
+        apart, so the memos of all parts hold 16, 4 and 4 subgames where
+        one remaining-arc memo over the whole web holds 70, 50 and 155."""
         walk = engine._greedy_walk
-        memos = []
+        memos = {}
 
         def spy(*args):
-            memos.append(inspect.signature(walk).bind(*args).arguments["memo"])
+            memo = inspect.signature(walk).bind(*args).arguments["memo"]
+            memos[id(memo)] = memo
             return walk(*args)
 
         monkeypatch.setattr(engine, "_greedy_walk", spy)
         enumerate_greedy(w)
-        assert len(memos[0]) == expanded
+        assert sum(map(len, memos.values())) == expanded
 
     def test_leaves_no_cyclic_garbage(self):
-        # J_11 has no tight vertex, so nothing merges and the walk memoises
-        # 1,023 subgames; none may wait for the cyclic collector
+        # J_11 has no tight vertex, so each tail is a part of one block and
+        # the walks memoise 10 subgames; none may wait for the cyclic collector
         w = Web(build_jaco(11).digraph)
         enabled = gc.isenabled()
         gc.collect()
@@ -313,6 +318,19 @@ class TestEnumerateGreedy:
         finally:
             if enabled:
                 gc.enable()
+
+
+    def test_web_with_no_tight_vertex_stays_small(self):
+        # J_11 has no tight vertex, so each of its 10 tails is a part of one
+        # block and no walk holds more than a few entries
+        w = Web(build_jaco(11).digraph)
+        tracemalloc.start()
+        try:
+            enumerate_greedy(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10
 
 
 @st.composite
@@ -548,6 +566,128 @@ def larger_greedy_webs(draw):
 def test_greedy_counter_equals_mask_oracle(w):
     assert 8 <= len(w.digraph.arcs) <= 16
     assert tuple(enumerate_greedy(w)) == oracle_greedy_masks(w)
+
+
+def greedy_parts(w: Web) -> int:
+    """The number of independent subgames of `w`: arcs grouped by tail,
+    each tail joined to the tight heads (degree above label) of its
+    out-arcs, counted by a search over tails."""
+    arcs = w.digraph.arcs
+    deg = {v: 0 for v in range(1, w.n + 1)}
+    for arc in arcs:
+        for v in arc:
+            deg[v] += 1
+    near = {t: set() for t, _ in arcs}
+    for t, h in arcs:
+        if deg[h] > h:
+            near[t].add(h)
+            near.setdefault(h, set()).add(t)
+    tails, parts, seen = {t for t, _ in arcs}, 0, set()
+    for t in tails:
+        if t not in seen:
+            parts += 1
+            stack = [t]
+            while stack:
+                v = stack.pop()
+                if v not in seen:
+                    seen.add(v)
+                    stack.extend(near.get(v, ()))
+    return parts
+
+
+@st.composite
+def split_greedy_webs(draw):
+    """Connected webs of 8-16 arcs on 8-10 vertices that split into at
+    least two subgames.  One to three of v_1..v_3 are tight centres, each
+    joined to more high vertices (v_4..v_n) than its label; the high
+    vertices form a path, the other low vertices hang off v_n, and extra
+    high edges are added while every high vertex stays within its label.
+    A high vertex is the tail of arcs into at most one centre, so the
+    centres stay apart, and v_n is a tail into high or leaf vertices only,
+    so it stays apart from every centre."""
+    n = draw(st.integers(8, 10))
+    centres = draw(st.sampled_from([(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]))
+    high = list(range(4, n + 1))
+    edges = [(v, v + 1) for v in range(4, n)]
+    edges += [(v, n) for v in range(1, 4) if v not in centres]
+    for c in centres:
+        size = c + 1 if len(centres) == 3 else draw(st.integers(c + 1, c + 2))
+        edges += [(c, h) for h in draw(st.lists(st.sampled_from(high), unique=True,
+                                                 min_size=size, max_size=size))]
+    deg = {v: 0 for v in range(1, n + 1)}
+    for e in edges:
+        for v in e:
+            deg[v] += 1
+    pool = [e for e in itertools.combinations(high, 2) if e not in edges]
+    for u, v in draw(st.lists(st.sampled_from(pool), unique=True, max_size=6)):
+        if len(edges) < 16 and deg[u] < u and deg[v] < v:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    bits = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    arcs, into_centre = [], set()
+    for (u, v), keep in zip(edges, bits):
+        if n in (u, v):
+            keep = u != n if u in centres else v != n
+        elif u in centres and not keep:
+            keep = v in into_centre
+            into_centre.add(v)
+        arcs.append((u, v) if keep else (v, u))
+    return Web(make_digraph(n, arcs))
+
+
+@given(split_greedy_webs())
+@settings(max_examples=40, deadline=None)
+def test_split_webs_equal_mask_oracle(w):
+    assert 8 <= len(w.digraph.arcs) <= 16
+    assert greedy_parts(w) >= 2
+    assert tuple(enumerate_greedy(w)) == oracle_greedy_masks(w)
+
+
+@st.composite
+def untight_webs(draw):
+    """Connected webs of at most 24 arcs in which every vertex meets at
+    most as many arcs as its label: a tree grown from v_n downwards, each
+    vertex hung off a higher one with room, plus extra edges with room."""
+    n = draw(st.integers(2, 12))
+    deg = [0] * (n + 1)
+    edges = []
+    for v in range(n - 1, 0, -1):
+        u = draw(st.sampled_from([u for u in range(v + 1, n + 1) if deg[u] < u]))
+        edges.append((v, u))
+        deg[u] += 1
+        deg[v] += 1
+    for u, v in draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                              unique=True, max_size=24)):
+        if len(edges) < 24 and (u, v) not in edges and deg[u] < u and deg[v] < v:
+            edges.append((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    bits = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Web(make_digraph(n, [(u, v) if keep else (v, u) for (u, v), keep in zip(edges, bits)]))
+
+
+def assert_untight_closed_form(w):
+    """With no tight vertex no arc dies: each tail plays one block of all
+    its out-arcs, in any order of the tails, and every arc is consumed."""
+    arcs = w.digraph.arcs
+    for v in range(1, w.n + 1):
+        assert sum(v in arc for arc in arcs) <= v
+    outdeg = collections.Counter(t for t, _ in arcs)
+    count = math.factorial(len(outdeg)) * math.prod(map(math.factorial, outdeg.values()))
+    got = enumerate_greedy(w)
+    assert (got.count, got.min_residual) == (count, w.n * (w.n + 1) // 2 - 2 * len(arcs))
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_jaco_greedy_closed_form(n):
+    assert_untight_closed_form(Web(build_jaco(n).digraph))
+
+
+@given(untight_webs())
+@settings(max_examples=60, deadline=None)
+def test_untight_greedy_closed_form(w):
+    assert_untight_closed_form(w)
 
 
 @given(random_webs())
