@@ -580,12 +580,12 @@ def enumerate_greedy(web: Web, cap: int = GREEDY_ARC_CAP) -> GreedyResult:
 def _greedy_walk(mask: int, full: int, tight, tails, fact, memo, seen) -> tuple[int, int]:
     """(count, most further arcs consumed) of the greedy strategies from `mask`.
 
-    The caller found `mask` missing from `seen`.  `tight` holds (v,
-    incidence mask) of the vertices that meet more arcs than their label,
-    `tails` holds (t, out-arc mask) of every tail and `fact` the
-    factorials, each shifted left by the part's grading width.  Within
-    one part, `memo` maps each expanded live subgame to its result and
-    `seen` each mask walked.
+    The caller found `mask` missing from `seen`.  `full` holds the arcs
+    of one part, `tight` (v, incidence mask) of its vertices that meet
+    more arcs than their label, `tails` (t, out-arc mask) of its tails
+    and `fact` the factorials, each shifted left by the part's grading
+    width.  Within the part, `memo` maps each expanded live subgame to
+    its result and `seen` each mask walked.
     """
     used = full ^ mask
     dead = 0

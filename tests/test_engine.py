@@ -319,7 +319,6 @@ class TestEnumerateGreedy:
             if enabled:
                 gc.enable()
 
-
     def test_web_with_no_tight_vertex_stays_small(self):
         # J_11 has no tight vertex, so each of its 10 tails is a part of one
         # block and no walk holds more than a few entries
