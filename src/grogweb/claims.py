@@ -299,7 +299,11 @@ def _family_grogs(family, n_max: int) -> dict[int, int]:
 
 
 def _check_family_range(what: str, n_max: int) -> None:
-    """Reject n_max outside 3..WEB_N_CAP before any enumeration."""
+    """Reject n_max outside 3..WEB_N_CAP before any base is solved.
+
+    The cap bounds the label placements that `grog_number` walks; the
+    message says "enumeration cost" because the report bytes are pinned.
+    """
     if n_max < 3:
         raise GraphError(f"{what} needs n_max >= 3, got {n_max}")
     if n_max > WEB_N_CAP:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from .graphs import GraphError
 
@@ -28,7 +27,7 @@ def _load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GraphError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -171,10 +170,13 @@ def cmd_enumerate(args) -> int:
     from .engine import GREEDY_ARC_CAP, enumerate_greedy, solve_exact
     from .graphs import digraph_to_json, ugraph_from_json, ugraph_to_json, underlying
     from .webs import (
+        automorphism_count,
         complete_graph,
         cycle_graph,
         enumerate_webs,
+        grog_number,
         path_graph,
+        residual_distribution,
         star_graph,
         web_count_formula,
     )
@@ -192,37 +194,35 @@ def cmd_enumerate(args) -> int:
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
     formula = web_count_formula(base.n, len(base.edges))
+    # label placements give the graph-level values; grog_number checks the
+    # base first, and the raw stream repeats each distinct web |Aut| times
+    grog, witness, _ = grog_number(base)
+    scale = 1 if args.dedup else automorphism_count(base)
+    distribution = {r: c * scale for r, c in residual_distribution(base).items()}
+    web_count = sum(distribution.values())
+    # only the greedy counts depend on orientation, so only --distribution
+    # walks the webs; json rows solve once per labelled edge set
     cap = GREEDY_ARC_CAP if args.max_arcs is None else args.max_arcs
-    # webs are streamed: only counts, the witness, one grog per labelled
-    # edge set (every orientation of one shares it) and json rows are kept
     solved: dict[tuple[tuple[int, int], ...], int] = {}
-    grogs: Counter[int] = Counter()
     greedy_counts = set()
     rows = []
-    grog = witness = None
-    for w in enumerate_webs(base, dedup=args.dedup):
-        key = underlying(w.digraph).edges
-        if key not in solved:
-            solved[key] = solve_exact(w).grog
-        value = solved[key]
-        grogs[value] += 1
-        if grog is None or value < grog:
-            grog, witness = value, w
-        if args.distribution:
+    if args.distribution:
+        for w in enumerate_webs(base, dedup=args.dedup):
             g = enumerate_greedy(w, cap=cap)
             greedy_counts.add(g.count)
             if args.format == "json":
+                key = underlying(w.digraph).edges
+                if key not in solved:
+                    solved[key] = solve_exact(w).grog
                 rows.append({
                     "arcs": [list(a) for a in w.digraph.arcs],
-                    "grog": value,
+                    "grog": solved[key],
                     "greedy_count": g.count,
                     "greedy_min": g.min_residual,
                 })
-    web_count = sum(grogs.values())
-    distribution = dict(sorted(grogs.items())) if args.distribution else None
 
     if args.format == "csv":
-        if distribution is None:
+        if not args.distribution:
             raise GraphError("csv output needs --distribution")
         text = "residual,count\n" + "".join(f"{r},{c}\n" for r, c in distribution.items())
     elif args.format == "json":
@@ -234,7 +234,7 @@ def cmd_enumerate(args) -> int:
             "grog": grog,
             "witness": digraph_to_json(witness.digraph),
         }
-        if distribution is not None:
+        if args.distribution:
             obj["distribution"] = [
                 {"residual": r, "count": c} for r, c in distribution.items()
             ]
@@ -247,7 +247,7 @@ def cmd_enumerate(args) -> int:
             f"    half-formula count: {formula}",
             f"grog number g(G) = {grog}",
         ]
-        if distribution is not None:
+        if args.distribution:
             lines.append("residual distribution:")
             lines += [f"  {r}: {c}" for r, c in distribution.items()]
             lines.append(

@@ -652,7 +652,12 @@ def strategy_from_json(obj) -> Strategy:
         raise GraphError('strategy JSON must be [{"predator": <int>, "prey": [...]}, ...]')
     batches = []
     for item in obj:
-        if not isinstance(item, dict) or "predator" not in item or "prey" not in item:
+        # vertices are exactly int, as in graph files: bool is an int subclass
+        if (
+            not isinstance(item, dict) or "predator" not in item or "prey" not in item
+            or type(item["predator"]) is not int or type(item["prey"]) is not list
+            or any(type(v) is not int for v in item["prey"])
+        ):
             raise GraphError(f"bad strategy entry: {item!r}")
         batches.append(PredationBatch(item["predator"], item["prey"]))
     return tuple(batches)

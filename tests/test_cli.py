@@ -1,5 +1,8 @@
+import functools
 import hashlib
+import itertools
 import json
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -9,7 +12,7 @@ from conftest import EXAMPLE1_WEBS, oracle_solve, run_cli
 
 from grogweb import claims, cli
 from grogweb.engine import Web, enumerate_greedy, solve_exact, strategy_to_json
-from grogweb.graphs import GraphError, digraph_to_json, make_digraph, ugraph_to_json
+from grogweb.graphs import GraphError, digraph_to_json, make_digraph, make_ugraph, ugraph_to_json
 from grogweb.jaco import build_jaco, jaco_to_json
 from grogweb.webs import (
     complete_graph,
@@ -161,6 +164,29 @@ class TestGrogCommand:
         assert proc.returncode == 1
         assert "step 1" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"predator": 1, "prey": 5},
+            {"predator": 1, "prey": [[2]]},
+            {"predator": 1.0, "prey": [2]},
+            {"predator": True, "prey": [2]},
+            {"predator": "a", "prey": [2]},
+        ],
+        ids=["prey-int", "prey-nested", "predator-float", "predator-bool", "predator-str"],
+    )
+    def test_run_rejects_non_int_vertices(self, capsys, web1_file, tmp_path, entry):
+        strategy = tmp_path / "s.json"
+        strategy.write_text(json.dumps([entry]))
+        assert cli.main(["grog", "run", web1_file, "--strategy", str(strategy)]) == 2
+        assert capsys.readouterr().err == f"error: bad strategy entry: {entry!r}\n"
+
+    def test_run_out_of_range_vertex_is_illegal(self, capsys, web1_file, tmp_path):
+        strategy = tmp_path / "s.json"
+        strategy.write_text(json.dumps([{"predator": 9, "prey": [2]}]))
+        assert cli.main(["grog", "run", web1_file, "--strategy", str(strategy)]) == 1
+        assert capsys.readouterr().err == "error: step 0: arc (9, 2) is not a remaining arc\n"
+
     def test_run_require_exit_rejects_early_stop(self, web1_file, tmp_path):
         strategy = tmp_path / "short.json"
         strategy.write_text(json.dumps([{"predator": 1, "prey": [2]}]))
@@ -197,6 +223,12 @@ class TestGrogCommand:
         path.write_text("{nope")
         proc = run_cli("grog", "solve", str(path))
         assert proc.returncode == 2
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["grog", "solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: ")
 
 
 class TestEnumerateCommand:
@@ -254,16 +286,28 @@ class TestEnumerateCommand:
 
     def test_streams_the_webs(self, capsys):
         # P_6 has 23,040 webs, about 11 MB if held as a list at once
-        cli.main(["enumerate", "--graph", "path", "--n", "3"])
+        cli.main(["enumerate", "--graph", "path", "--n", "3", "--distribution"])
         capsys.readouterr()
         tracemalloc.start()
         try:
-            assert cli.main(["enumerate", "--graph", "path", "--n", "6"]) == 0
+            assert cli.main(["enumerate", "--graph", "path", "--n", "6", "--distribution"]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert "webs enumerated: 23040" in capsys.readouterr().out
         assert peak < 2 * 2**20
+
+    def test_summary_walks_no_web(self, monkeypatch, capsys):
+        def walk(*args, **kwargs):
+            raise AssertionError("enumerate_webs called without --distribution")
+
+        monkeypatch.setattr("grogweb.webs.enumerate_webs", walk)
+        assert cli.main(["enumerate", "--graph", "path", "--n", "8"]) == 0
+        assert capsys.readouterr().out == (
+            "base graph: n=8, 7 edges\n"
+            "webs enumerated: 5160960    half-formula count: 2580480\n"
+            "grog number g(G) = 22\n"
+        )
 
 
 SOLVE_WEBS = [(f"example1-{i}", make_digraph(3, sorted(arcs))) for i, arcs, _ in EXAMPLE1_WEBS]
@@ -295,16 +339,23 @@ def test_solve_witness_matches_memo_oracle(capsys, tmp_path, name, digraph):
     )
 
 
-def per_web_enumerate_output(base, dedup: bool, fmt: str) -> str:
-    """`enumerate --distribution` output computed with solve_exact on every web."""
+@functools.cache
+def per_web_values(base, dedup: bool):
+    """Each web of the stream with its solve_exact grog and enumerate_greedy result."""
     webs = list(enumerate_webs(base, dedup=dedup))
-    grogs = [solve_exact(w).grog for w in webs]
+    return webs, [solve_exact(w).grog for w in webs], [enumerate_greedy(w) for w in webs]
+
+
+def per_web_enumerate_output(base, dedup: bool, distribution: bool, fmt: str):
+    """`enumerate` exit code, stdout and stderr computed from every web of the stream."""
+    if fmt == "csv" and not distribution:
+        return 2, "", "error: csv output needs --distribution\n"
+    webs, grogs, greedy = per_web_values(base, dedup)
     grog = min(grogs)
-    distribution = dict(sorted(Counter(grogs).items()))
-    greedy = [enumerate_greedy(w) for w in webs]
+    histogram = dict(sorted(Counter(grogs).items()))
     formula = web_count_formula(base.n, len(base.edges))
     if fmt == "csv":
-        return "residual,count\n" + "".join(f"{r},{c}\n" for r, c in distribution.items())
+        return 0, "residual,count\n" + "".join(f"{r},{c}\n" for r, c in histogram.items()), ""
     if fmt == "json":
         obj = {
             "base": ugraph_to_json(base),
@@ -313,8 +364,10 @@ def per_web_enumerate_output(base, dedup: bool, fmt: str) -> str:
             "formula_count": formula,
             "grog": grog,
             "witness": digraph_to_json(webs[grogs.index(grog)].digraph),
-            "distribution": [{"residual": r, "count": c} for r, c in distribution.items()],
-            "webs": [
+        }
+        if distribution:
+            obj["distribution"] = [{"residual": r, "count": c} for r, c in histogram.items()]
+            obj["webs"] = [
                 {
                     "arcs": [list(a) for a in w.digraph.arcs],
                     "grog": value,
@@ -322,37 +375,69 @@ def per_web_enumerate_output(base, dedup: bool, fmt: str) -> str:
                     "greedy_min": g.min_residual,
                 }
                 for w, value, g in zip(webs, grogs, greedy)
-            ],
-        }
-        return json.dumps(obj, indent=2) + "\n"
-    counts = [g.count for g in greedy]
+            ]
+        return 0, json.dumps(obj, indent=2) + "\n", ""
     lines = [
         f"base graph: n={base.n}, {len(base.edges)} edges",
         f"webs enumerated: {len(webs)}{' (dedup)' if dedup else ''}"
         f"    half-formula count: {formula}",
         f"grog number g(G) = {grog}",
-        "residual distribution:",
-        *(f"  {r}: {c}" for r, c in distribution.items()),
-        f"greedy strategies per web: min {min(counts)}, max {max(counts)}",
     ]
-    return "\n".join(lines) + "\n"
+    if distribution:
+        counts = [g.count for g in greedy]
+        lines += [
+            "residual distribution:",
+            *(f"  {r}: {c}" for r, c in histogram.items()),
+            f"greedy strategies per web: min {min(counts)}, max {max(counts)}",
+        ]
+    return 0, "\n".join(lines) + "\n", ""
 
 
-@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-@pytest.mark.parametrize("dedup", [False, True])
+def random_connected_base(seed: int):
+    """A seeded randomly labelled connected base on 4 vertices with 3..5 edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, 5)}
+    edges.update(rng.sample(list(itertools.combinations(range(1, 5), 2)), rng.randint(0, 2)))
+    label = rng.sample(range(1, 5), 4)
+    return make_ugraph(4, [(label[u - 1], label[v - 1]) for u, v in edges])
+
+
+# family bases run as `--graph FAMILY --n N`, the others from a graph file;
+# the family bases keep pytest's own ids and the --distribution formats the
+# bare format name, so their test ids stay stable
+ENUMERATE_BASES = [
+    ("path", 3, path_graph(3)),
+    ("cycle", 4, cycle_graph(4)),
+    ("star", 4, star_graph(4)),
+    ("complete", 4, complete_graph(4)),
+    # a connected asymmetric base on n >= 2 vertices needs 6 of them and has
+    # 46,080 webs, too many to solve one by one here
+    pytest.param(None, None, make_ugraph(1, []), id="file-aut1"),
+    pytest.param(None, None, make_ugraph(4, [(1, 3), (2, 3), (3, 4)]), id="file-aut6"),
+    *(pytest.param(None, None, random_connected_base(seed), id=f"random-{seed}") for seed in range(10)),
+]
+
+
 @pytest.mark.parametrize(
-    "family, n, base",
+    "fmt, distribution",
     [
-        ("path", 3, path_graph(3)),
-        ("cycle", 4, cycle_graph(4)),
-        ("star", 4, star_graph(4)),
-        ("complete", 4, complete_graph(4)),
+        pytest.param(fmt, distribution, id=fmt if distribution else f"{fmt}-summary")
+        for distribution in (True, False)
+        for fmt in ("text", "json", "csv")
     ],
 )
-def test_enumerate_matches_per_web_solves(capsys, family, n, base, dedup, fmt):
-    argv = ["enumerate", "--graph", family, "--n", str(n), "--distribution", "--format", fmt]
-    assert cli.main(argv + (["--dedup"] if dedup else [])) == 0
-    assert capsys.readouterr().out == per_web_enumerate_output(base, dedup, fmt)
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("family, n, base", ENUMERATE_BASES)
+def test_enumerate_matches_per_web_solves(capsys, tmp_path, family, n, base, dedup, distribution, fmt):
+    if family is None:
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(ugraph_to_json(base)))
+        argv = ["enumerate", "--graph", str(path)]
+    else:
+        argv = ["enumerate", "--graph", family, "--n", str(n)]
+    argv += ["--format", fmt] + ["--dedup"] * dedup + ["--distribution"] * distribution
+    result = (cli.main(argv), *capsys.readouterr())
+    assert result == per_web_enumerate_output(base, dedup, distribution, fmt)
 
 
 # sha256 of the stdout of `grogweb enumerate --graph G --n N --dedup --distribution
