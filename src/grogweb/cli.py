@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from .graphs import GraphError
 
@@ -27,16 +28,21 @@ def _load_json_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and an
+        # integer past Python's digit limit; RecursionError deep nesting
         raise GraphError(f"invalid JSON in {path}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, rest=()) -> None:
+    """Write `text`, then each string of `rest`, to the file `out` or stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.writelines(rest)
     else:
         sys.stdout.write(text)
+        sys.stdout.writelines(rest)
 
 
 def _json_text(obj) -> str:
@@ -201,29 +207,34 @@ def cmd_enumerate(args) -> int:
     distribution = {r: c * scale for r, c in residual_distribution(base).items()}
     web_count = sum(distribution.values())
     # only the greedy counts depend on orientation, so only --distribution
-    # walks the webs; json rows solve once per labelled edge set
+    # walks the webs
     cap = GREEDY_ARC_CAP if args.max_arcs is None else args.max_arcs
-    solved: dict[tuple[tuple[int, int], ...], int] = {}
-    greedy_counts = set()
-    rows = []
-    if args.distribution:
-        for w in enumerate_webs(base, dedup=args.dedup):
-            g = enumerate_greedy(w, cap=cap)
-            greedy_counts.add(g.count)
-            if args.format == "json":
-                key = underlying(w.digraph).edges
-                if key not in solved:
-                    solved[key] = solve_exact(w).grog
-                rows.append({
-                    "arcs": [list(a) for a in w.digraph.arcs],
-                    "grog": solved[key],
-                    "greedy_count": g.count,
-                    "greedy_min": g.min_residual,
-                })
+    greedy = (
+        (w, enumerate_greedy(w, cap=cap)) for w in enumerate_webs(base, dedup=args.dedup)
+    ) if args.distribution else ()
 
+    def json_rows():
+        """Each web's row, indented as json.dumps indents it inside "webs";
+        one exact solve per labelled edge set."""
+        solved: dict[tuple[tuple[int, int], ...], int] = {}
+        for w, g in greedy:
+            key = underlying(w.digraph).edges
+            if key not in solved:
+                solved[key] = solve_exact(w).grog
+            row = {
+                "arcs": [list(a) for a in w.digraph.arcs],
+                "grog": solved[key],
+                "greedy_count": g.count,
+                "greedy_min": g.min_residual,
+            }
+            yield "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+
+    rest = ()
     if args.format == "csv":
         if not args.distribution:
             raise GraphError("csv output needs --distribution")
+        for _ in greedy:  # the counts are not printed, but the walk checks the cap
+            pass
         text = "residual,count\n" + "".join(f"{r},{c}\n" for r, c in distribution.items())
     elif args.format == "json":
         obj = {
@@ -234,12 +245,19 @@ def cmd_enumerate(args) -> int:
             "grog": grog,
             "witness": digraph_to_json(witness.digraph),
         }
-        if args.distribution:
+        if not args.distribution:
+            text = _json_text(obj)
+        else:
             obj["distribution"] = [
                 {"residual": r, "count": c} for r, c in distribution.items()
             ]
-            obj["webs"] = rows
-        text = _json_text(obj)
+            obj["webs"] = []
+            # the rows stream into the empty list, and nothing is written
+            # before the first is computed, so a cap error leaves no output
+            head, tail = _json_text(obj).rsplit("[]", 1)
+            rows = json_rows()
+            text = f"{head}[\n{next(rows)}"
+            rest = chain((",\n" + row for row in rows), ("\n  ]" + tail,))
     else:
         lines = [
             f"base graph: n={base.n}, {len(base.edges)} edges",
@@ -248,13 +266,12 @@ def cmd_enumerate(args) -> int:
             f"grog number g(G) = {grog}",
         ]
         if args.distribution:
+            counts = {g.count for _, g in greedy}
             lines.append("residual distribution:")
             lines += [f"  {r}: {c}" for r, c in distribution.items()]
-            lines.append(
-                f"greedy strategies per web: min {min(greedy_counts)}, max {max(greedy_counts)}"
-            )
+            lines.append(f"greedy strategies per web: min {min(counts)}, max {max(counts)}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(text, args.out, rest)
     return EXIT_OK
 
 

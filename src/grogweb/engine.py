@@ -21,10 +21,9 @@ order, and residual = n(n+1)/2 - 2 * (arcs consumed).  Second, a set of
 arcs can be consumed, in any order and one arc per batch, exactly when
 every vertex v meets at most v of them: populations only fall, so each
 arc's endpoints are still positive when it is played.  The largest such
-set is a maximum simple b-matching with b(v) = min(v, deg v), which the
-exact solver finds in polynomial time by reducing it to an ordinary
-maximum matching (the vertex-and-edge gadget of Tutte and Shiloach) and
-running Edmonds' blossom search on it.  The greedy counter searches
+set is a maximum simple b-matching with b(v) = v, which the exact
+solver finds in polynomial time with one b-matching core, `_BMatching`,
+run on a vertex-and-edge gadget.  The greedy counter searches
 instead, because greedy counts depend on the orientation.  It first
 splits the web: a vertex that is not tight (one meeting no more arcs
 than its label) stays positive while it holds an arc and, as a tail,
@@ -50,18 +49,17 @@ comes with its result and needs no replay.  `legal_predations`
 subtracts, from the remaining arcs, the arcs at every vertex of
 population 0, read off a per-web incidence table built once per `Web`.
 
-The exact solver's cost is its gadget, where each copy of v meets all
-deg(v) edge-vertices at v: SOLVER_GADGET_CAP bounds those copy edges,
-sum_v deg(v) * b(v), and no caller can move it.  The greedy counter's
-cost is up to 2^arcs masks of its largest part, bounded by an arc cap
-on the whole web (GREEDY_ARC_CAP).
+The exact solver's cost is the memory of the core's matching gadget,
+bounded by SOLVER_GADGET_CAP, which no caller can move.  The greedy
+counter's cost is up to 2^arcs masks of its largest part, bounded by an
+arc cap on the whole web (GREEDY_ARC_CAP).
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -383,90 +381,86 @@ def _free_copy_first(copies, mate, dead) -> int | None:
     return found
 
 
-def solve_exact(web: Web) -> SolveResult:
-    """Exact grog number as a maximum b-matching with b(v) = min(v, deg v).
+class _BMatching:
+    """A maximum simple b-matching of `arcs` on vertices 0..n, in which
+    vertex v meets at most b[v] arcs, each b[v] clamped to min(b[v], deg v).
 
-    The gadget graph has, for every web vertex v, b(v) copies and, for
-    arc k = (t, h), two edge-vertices 2k and 2k + 1, joined to each other
-    and to every copy of t and of h respectively.  A matching that covers
-    every edge-vertex uses arc k when both of its edge-vertices are
-    matched to copies, so max_predations is the maximum matching size
-    minus the arc count, and grog = n(n+1)/2 - 2 * max_predations.  A
-    greedy pass in ascending arc order seeds the matching; Edmonds'
-    search then runs once from each free copy, since a copy with no
-    augmenting path never gains one through later augmentations.
+    Tutte and Shiloach's gadget makes it an ordinary matching: b[v]
+    copies of each vertex v and, for arc k = (t, h), edge-vertices 2k and
+    2k + 1, joined to each other and to every copy of t and of h
+    respectively.  A matching covering every edge-vertex uses arc k when
+    both its edge-vertices are matched to copies.  A greedy pass in
+    ascending arc order seeds it; Edmonds' search then runs once from each
+    free copy, since a copy with no augmenting path never gains one later.
 
-    The witness plays, one arc per batch, the lexicographically least
-    maximum b-matching in ascending arc order: at every step the smallest
-    remaining arc after which an optimal residual is still reachable.
-    Arcs are decided in ascending order against a maximum matching that
-    holds every arc taken so far.  An arc in that matching is taken at
-    once.  Any other arc is forced in: its edge-vertices and one copy of
-    each endpoint leave the graph, the arcs that held those copies lose
-    that end, and one augmenting path from an edge-vertex left free must
-    restore the maximum.  If none exists the arc is rejected and the
-    matching is put back.
-
-    `states_explored` counts the matchings examined: the greedy seed and
-    one more for each augmenting-path search.  A gadget of more than
-    SOLVER_GADGET_CAP copy edges raises CapExceeded before it is built.
+    `size` is the size of a maximum b-matching, and the matching kept
+    holds every arc taken.  `examined` counts the matchings examined: the
+    seed and one per augmenting-path search.  Vertices flagged in `dead`
+    have left the gadget.  Each copy of v meets the deg(v) edge-vertices
+    at v, and a gadget of more than SOLVER_GADGET_CAP such copy edges
+    raises CapExceeded before it is built.
     """
-    arcs = web.digraph.arcs
-    n = web.n
-    deg = [0] * (n + 1)
-    for t, h in arcs:
-        deg[t] += 1
-        deg[h] += 1
-    copy_edges = sum(d * min(v, d) for v, d in enumerate(deg))
-    if copy_edges > SOLVER_GADGET_CAP:
-        raise CapExceeded(
-            f"the solver gadget would have {copy_edges} copy edges "
-            f"(sum of deg(v) * min(v, deg v)), above the cap {SOLVER_GADGET_CAP}"
-        )
-    size = 2 * len(arcs)
-    copies = []
-    for v in range(n + 1):
-        copies.append(range(size, size + min(v, deg[v])))
-        size += len(copies[-1])
-    adj: list[list[int]] = [[] for _ in range(size)]
-    mate = [-1] * size
-    taken = [0] * (n + 1)
-    for k, (t, h) in enumerate(arcs):
-        et, eh = 2 * k, 2 * k + 1
-        adj[et].append(eh)
-        adj[eh].append(et)
-        for e, cs in ((et, copies[t]), (eh, copies[h])):
-            adj[e].extend(cs)
-            for c in cs:
-                adj[c].append(e)
-        if taken[t] < len(copies[t]) and taken[h] < len(copies[h]):
-            ct, ch = copies[t][taken[t]], copies[h][taken[h]]
-            taken[t] += 1
-            taken[h] += 1
-            mate[et], mate[ct], mate[eh], mate[ch] = ct, et, ch, eh
-        else:
-            mate[et], mate[eh] = eh, et
 
-    dead = bytearray(size)
-    examined = 1
-    for c in range(2 * len(arcs), size):
-        if mate[c] == -1:
-            examined += 1
-            _augment(adj, mate, dead, c)
-    max_pred = sum(mate[c] != -1 for c in range(2 * len(arcs), size)) // 2
+    def __init__(self, n: int, arcs, b):
+        deg = [0] * (n + 1)
+        for t, h in arcs:
+            deg[t] += 1
+            deg[h] += 1
+        b = [min(c, d) for c, d in zip(b, deg)]
+        copy_edges = sum(d * c for d, c in zip(deg, b))
+        if copy_edges > SOLVER_GADGET_CAP:
+            raise CapExceeded(
+                f"the solver gadget would have {copy_edges} copy edges "
+                f"(sum of deg(v) * min(v, deg v)), above the cap {SOLVER_GADGET_CAP}"
+            )
+        *starts, nodes = accumulate(b, initial=2 * len(arcs))
+        self.copies = copies = [range(s, s + c) for s, c in zip(starts, b)]
+        # the copies of v all meet the edge-vertices at v, so they share a list
+        at = [[] for _ in range(n + 1)]
+        self.adj = adj = [None] * (2 * len(arcs)) + [es for es, c in zip(at, b) for _ in range(c)]
+        self.mate = mate = [-1] * nodes
+        taken = [0] * (n + 1)
+        for k, (t, h) in enumerate(arcs):
+            et, eh = 2 * k, 2 * k + 1
+            adj[et] = [eh, *copies[t]]
+            adj[eh] = [et, *copies[h]]
+            at[t].append(et)
+            at[h].append(eh)
+            if taken[t] < b[t] and taken[h] < b[h]:
+                ct, ch = copies[t][taken[t]], copies[h][taken[h]]
+                taken[t] += 1
+                taken[h] += 1
+                mate[et], mate[ct], mate[eh], mate[ch] = ct, et, ch, eh
+            else:
+                mate[et], mate[eh] = eh, et
+        self.dead = dead = bytearray(nodes)
+        examined = 1
+        for c in range(2 * len(arcs), nodes):
+            if mate[c] == -1:
+                examined += 1
+                _augment(adj, mate, dead, c)
+        self.examined = examined
+        self.size = sum(mate[c] != -1 for c in range(2 * len(arcs), nodes)) // 2
 
-    witness: list[PredationBatch] = []
-    for k, (t, h) in enumerate(arcs):
+    def take(self, k: int, t: int, h: int) -> bool:
+        """Take arc k = (t, h), one unit of b at each end, if a maximum
+        b-matching holds it with every arc taken so far; else change nothing.
+
+        An arc in the matching is taken at once.  Any other is forced in:
+        its edge-vertices and a copy of each end leave the gadget, and one
+        augmenting path from an edge-vertex freed there must restore the
+        maximum, or the matching is put back.
+        """
+        mate, dead = self.mate, self.dead
         et, eh = 2 * k, 2 * k + 1
         if mate[et] != eh:
             for x in (et, eh, mate[et], mate[eh]):
                 dead[x] = 1
-            witness.append(PredationBatch(t, (h,)))
-            continue
-        ct = _free_copy_first(copies[t], mate, dead)
-        ch = _free_copy_first(copies[h], mate, dead)
+            return True
+        ct = _free_copy_first(self.copies[t], mate, dead)
+        ch = _free_copy_first(self.copies[h], mate, dead)
         if ct is None or ch is None:
-            continue
+            return False
         # ct and ch leave with arc k, so the arcs holding them lose that
         # end; what is left is at most one short of the new maximum, and
         # any augmenting path starts at an edge-vertex freed here
@@ -477,27 +471,43 @@ def solve_exact(web: Web) -> SolveResult:
             mate[e] = -1
         if len(freed) == 2:
             for e, _ in freed:
-                examined += 1
-                if _augment(adj, mate, dead, e):
+                self.examined += 1
+                if _augment(self.adj, mate, dead, e):
                     break
             else:
                 for e, c in freed:
                     mate[e] = c
                 for x in (et, eh, ct, ch):
                     dead[x] = 0
-                continue
+                return False
         for e, _ in freed:
             if mate[e] == -1:
                 # drop the arc that kept only its other end, freeing that copy
                 mate[mate[e ^ 1]] = -1
                 mate[e], mate[e ^ 1] = e ^ 1, e
-        witness.append(PredationBatch(t, (h,)))
+        return True
 
+
+def solve_exact(web: Web) -> SolveResult:
+    """Exact grog number as a maximum b-matching with b(v) = v.
+
+    grog = n(n+1)/2 - 2 * max_predations, the size of the core's maximum
+    b-matching.  The witness plays, one arc per batch, the
+    lexicographically least maximum b-matching in ascending arc order:
+    the core is offered each arc in turn, and takes it when a maximum
+    b-matching holds it with every arc taken before.  `states_explored`
+    counts the matchings the core examined.
+    """
+    arcs = web.digraph.arcs
+    core = _BMatching(web.n, arcs, range(web.n + 1))
+    max_pred = core.size
+    take = core.take
+    witness = [PredationBatch(t, (h,)) for k, (t, h) in enumerate(arcs) if take(k, t, h)]
     return SolveResult(
         grog=web.total_population - 2 * max_pred,
         witness=tuple(witness),
         max_predations=max_pred,
-        states_explored=examined,
+        states_explored=core.examined,
     )
 
 

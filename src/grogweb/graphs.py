@@ -40,18 +40,6 @@ class Digraph(NamedTuple):
     n: int
     arcs: tuple[tuple[int, int], ...]
 
-    def out_neighbors(self, v: int) -> list[int]:
-        return [h for t, h in self.arcs if t == v]
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return [t for t, h in self.arcs if h == v]
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for t, _ in self.arcs if t == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for _, h in self.arcs if h == v)
-
 
 class UGraph(NamedTuple):
     """Simple undirected graph on vertices 1..n, edges sorted with u < v."""

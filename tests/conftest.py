@@ -131,17 +131,17 @@ def oracle_solve(web: Web) -> tuple[int, Strategy]:
     return best(full), tuple(witness)
 
 
-def oracle_max_consumable(web: Web) -> int:
-    """Size of the largest arc subset in which every vertex v meets at
-    most v arcs, by brute force over the subsets, largest first."""
-    arcs = web.digraph.arcs
+def oracle_b_matching(n: int, arcs, b) -> int:
+    """Size of the largest subset of `arcs` (on vertices 0..n) in which
+    every vertex v meets at most b[v] arcs, by brute force over the
+    subsets, largest first."""
     for size in range(len(arcs), 0, -1):
         for subset in itertools.combinations(arcs, size):
-            meets = [0] * (web.n + 1)
+            meets = [0] * (n + 1)
             for t, h in subset:
                 meets[t] += 1
                 meets[h] += 1
-            if all(meets[v] <= v for v in range(1, web.n + 1)):
+            if all(m <= c for m, c in zip(meets, b)):
                 return size
     return 0
 

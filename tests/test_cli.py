@@ -224,6 +224,17 @@ class TestGrogCommand:
         proc = run_cli("grog", "solve", str(path))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"n": ' + "1" * 5000 + ', "arcs": []}', id="huge-int"),
+        pytest.param("[" * 100_000, id="deep-nesting"),
+    ])
+    def test_unreadable_json_is_a_usage_error(self, capsys, tmp_path, text):
+        # past 4,300 digits int() raises ValueError; deep nesting RecursionError
+        path = tmp_path / "web.json"
+        path.write_text(text)
+        assert cli.main(["grog", "solve", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: ")
+
     def test_non_utf8_file(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -296,6 +307,29 @@ class TestEnumerateCommand:
             tracemalloc.stop()
         assert "webs enumerated: 23040" in capsys.readouterr().out
         assert peak < 2 * 2**20
+
+    def test_json_rows_stream_to_the_file(self, capsys, tmp_path):
+        # P_5's 1,920 rows peaked near 4.9 MB when held as dicts and one text
+        argv = ["enumerate", "--graph", "path", "--distribution", "--format", "json"]
+        cli.main(argv + ["--n", "3"])
+        capsys.readouterr()
+        out = tmp_path / "p5.json"
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--n", "5", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(out.read_text())["webs"]) == 1920
+        assert peak < 2**20
+
+    def test_cap_error_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "p4.json"
+        argv = ["enumerate", "--graph", "path", "--n", "4", "--distribution", "--max-arcs", "2"]
+        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert cli.main(argv + ["--format", "json"]) == 2
+        assert capsys.readouterr() == ("", "error: 3 arcs exceed the greedy cap 2\n" * 2)
 
     def test_summary_walks_no_web(self, monkeypatch, capsys):
         def walk(*args, **kwargs):

@@ -9,11 +9,11 @@ import tracemalloc
 import pytest
 from conftest import (
     EXAMPLE1_WEBS,
+    oracle_b_matching,
     oracle_greedy,
     oracle_greedy_masks,
     oracle_grog,
     oracle_legal_predations,
-    oracle_max_consumable,
     oracle_random_maximal_strategy,
     oracle_solve,
 )
@@ -711,7 +711,51 @@ def test_solve_exact_equals_memo_and_subset_oracles(w):
         w.total_population - 2 * max_pred, max_pred, witness
     )
     if len(w.digraph.arcs) <= 12:
-        assert r.max_predations == oracle_max_consumable(w)
+        assert r.max_predations == oracle_b_matching(w.n, w.digraph.arcs, range(w.n + 1))
+
+
+@st.composite
+def b_matching_cases(draw):
+    """(n, arcs, b): a web of up to 14 arcs, with b[v] in 0..deg(v) + 1."""
+    w = draw(random_webs(max_n=7, max_extra=8))
+    deg = [sum(v in arc for arc in w.digraph.arcs) for v in range(w.n + 1)]
+    return w.n, w.digraph.arcs, [draw(st.integers(0, d + 1)) for d in deg]
+
+
+@given(b_matching_cases())
+@settings(max_examples=100, deadline=None)
+def test_b_matching_core_equals_subset_oracle(case):
+    """The core's size against brute force over arc subsets, with
+    capacities other than the labels."""
+    assert engine._BMatching(*case).size == oracle_b_matching(*case)
+
+
+@given(b_matching_cases(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_b_matching_take_re_augments(case, rng):
+    """Offered the arcs in any order, the core takes an arc exactly when a
+    fresh core on the arcs not yet taken, with b lowered by the taken
+    arcs, is one smaller without it; a refused take changes nothing."""
+    n, arcs, b = case
+    core = engine._BMatching(n, arcs, b)
+    size = core.size
+    left, room = dict(enumerate(arcs)), list(b)
+    for k in rng.sample(range(len(arcs)), len(arcs)):
+        t, h = arcs[k]
+        rest = [arc for j, arc in left.items() if j != k]
+        lowered = list(room)
+        lowered[t] -= 1
+        lowered[h] -= 1
+        fits = min(lowered[t], lowered[h]) >= 0
+        fits = fits and engine._BMatching(n, rest, lowered).size == size - 1
+        before = list(core.mate), bytes(core.dead)
+        assert core.take(k, t, h) == fits
+        if fits:
+            del left[k]
+            room, size = lowered, size - 1
+        else:
+            assert (core.mate, bytes(core.dead)) == before
+    assert core.size == engine._BMatching(n, arcs, b).size
 
 
 def test_strategy_json_roundtrip():

@@ -53,13 +53,6 @@ class TestMakeDigraph:
         with pytest.raises(GraphError):
             make_digraph("3", [])
 
-    def test_neighbors(self):
-        d = make_digraph(4, [(1, 2), (1, 3), (2, 3)])
-        assert d.out_neighbors(1) == [2, 3]
-        assert d.in_neighbors(3) == [1, 2]
-        assert d.out_degree(1) == 2
-        assert d.in_degree(4) == 0
-
 
 class TestMakeUGraph:
     def test_valid(self):

@@ -2,7 +2,8 @@
 no claim id outside the harness's catalog module, no settable cap
 outside the greedy counter, no n! indexing walk outside web
 enumeration, no direction-mask loop outside `graphs.orientations`, no
-import inside a library function, and no `dataclasses` import.
+use of the solver gadget outside `engine._BMatching`, no import inside a
+library function, and no `dataclasses` import.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -125,6 +126,23 @@ def mask_loops(tree: ast.Module, module: str) -> list[str]:
     ]
 
 
+# The b-matching core owns the solver gadget: its augmenting-path search,
+# its choice of copies and its cap.
+GADGET_NAMES = {"_augment", "_free_copy_first", "SOLVER_GADGET_CAP"}
+
+
+def gadget_users(tree: ast.Module, module: str) -> list[str]:
+    """`module.name` of each top-level definition that reads a name in
+    GADGET_NAMES, which includes calling it, once each."""
+    return list(dict.fromkeys(
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and _callee_name(node) in GADGET_NAMES
+    ))
+
+
 # A deferred import inside a library call would move start-up cost into
 # timed work and hide it from the benchmark's `setup_s`.  Only the CLI's
 # subcommands, which import what each one uses, and the lazy namespace's
@@ -205,6 +223,12 @@ def test_only_orientations_walks_direction_masks():
     assert loops == ["graphs.orientations"]
 
 
+def test_only_the_b_matching_core_touches_the_gadget():
+    # solve_exact and any later caller go through engine._BMatching
+    users = [u for path in SRC_FILES for u in gadget_users(_parse(path), path.stem)]
+    assert users == ["engine._BMatching"]
+
+
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_imports_inside_library_functions(path):
     assert function_imports(_parse(path), path.stem) == []
@@ -283,6 +307,26 @@ def test_guard_catches_violations():
     )
     assert mask_loops(tree, "graphs") == [
         "graphs.orientations", "graphs.enumerate_webs", "graphs.<module>",
+    ]
+    tree = ast.parse(
+        "SOLVER_GADGET_CAP = 2**17\n"
+        "class _BMatching:\n"
+        "    def __init__(self, arcs):\n"
+        "        if len(arcs) > SOLVER_GADGET_CAP:\n"
+        "            _augment(self.adj, self.mate, self.dead, 0)\n"
+        "    def take(self, k):\n"
+        "        return _augment(self.adj, self.mate, self.dead, 2 * k)\n"
+        "def solve_exact(web):\n"
+        "    return _free_copy_first(range(3), [-1] * 3, bytearray(3))\n"
+        "def check(arcs):\n"
+        "    return len(arcs) <= engine.SOLVER_GADGET_CAP\n"
+        "search = _augment\n"
+        "def fine(web):\n"
+        "    augment, note = 1, '_augment'\n"
+        "    return augment(web)\n"
+    )
+    assert gadget_users(tree, "engine") == [
+        "engine._BMatching", "engine.solve_exact", "engine.check", "engine.<module>",
     ]
     tree = ast.parse(
         "import json\n"
