@@ -395,27 +395,19 @@ def divergence_bases() -> list[tuple[str, UGraph]]:
     ]
 
 
-def check_orientation_divergence(bases: list[tuple[str, UGraph]] | None = None) -> ClaimReport:
-    """thm-2.6: each base has two webs with distinct grog numbers (n >= 3)."""
-    if bases is None:
-        bases = divergence_bases()
+def check_orientation_divergence() -> ClaimReport:
+    """thm-2.6: each base of `divergence_bases` (all n >= 3) has two webs
+    with distinct grog numbers."""
+    bases = divergence_bases()
     failures = []
     values: dict = {"bases": {}}
-    instances = 0
-    skipped = []
     for name, base in bases:
-        if base.n < 3:
-            skipped.append(name)
-            continue
         distinct = list(residual_distribution(base))
         lo, hi = distinct[0], distinct[-1]
         values["bases"][name] = {"min": lo, "max": hi, "distinct": distinct}
-        instances += 1
         if lo == hi:
             failures.append({"base": name, "grog": lo})
-    if skipped:
-        values["skipped_small_bases"] = skipped
-    return _report("thm-2.6", _assert_status(failures), instances, failures, values)
+    return _report("thm-2.6", _assert_status(failures), len(bases), failures, values)
 
 
 def check_jaco_recursion(
@@ -533,17 +525,14 @@ def check_termination_and_determinism(
     )
 
 
-def check_web_count(
-    bases: list[tuple[str, UGraph]] | None = None, webs: Webs | None = None
-) -> ClaimReport:
+def check_web_count(webs: Webs | None = None) -> ClaimReport:
     """web-count: dedup count vs the half-formula.
 
     Equality is asserted only for bases with exactly 2 automorphisms;
     other group sizes are recorded with a mismatch flag, since the
     half-formula over-counts the identification for them.
     """
-    if bases is None:
-        bases = _named_bases() + [("K2", path_graph(2))]
+    bases = _named_bases() + [("K2", path_graph(2))]
     webs = webs or _dedup_webs
     failures = []
     values: dict = {"bases": {}}

@@ -173,7 +173,7 @@ def cmd_grog_run(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .engine import GREEDY_ARC_CAP, enumerate_greedy, solve_exact
+    from .engine import enumerate_greedy, solve_exact
     from .graphs import digraph_to_json, ugraph_from_json, ugraph_to_json, underlying
     from .webs import (
         automorphism_count,
@@ -207,11 +207,10 @@ def cmd_enumerate(args) -> int:
     distribution = {r: c * scale for r, c in residual_distribution(base).items()}
     web_count = sum(distribution.values())
     # only the greedy counts depend on orientation, so only --distribution
-    # walks the webs
-    cap = GREEDY_ARC_CAP if args.max_arcs is None else args.max_arcs
+    # walks the webs, and csv, which prints no count, walks none
     greedy = (
-        (w, enumerate_greedy(w, cap=cap)) for w in enumerate_webs(base, dedup=args.dedup)
-    ) if args.distribution else ()
+        (w, enumerate_greedy(w)) for w in enumerate_webs(base, dedup=args.dedup)
+    ) if args.distribution and args.format != "csv" else ()
 
     def json_rows():
         """Each web's row, indented as json.dumps indents it inside "webs";
@@ -233,8 +232,6 @@ def cmd_enumerate(args) -> int:
     if args.format == "csv":
         if not args.distribution:
             raise GraphError("csv output needs --distribution")
-        for _ in greedy:  # the counts are not printed, but the walk checks the cap
-            pass
         text = "residual,count\n" + "".join(f"{r},{c}\n" for r, c in distribution.items())
     elif args.format == "json":
         obj = {
@@ -252,8 +249,7 @@ def cmd_enumerate(args) -> int:
                 {"residual": r, "count": c} for r, c in distribution.items()
             ]
             obj["webs"] = []
-            # the rows stream into the empty list, and nothing is written
-            # before the first is computed, so a cap error leaves no output
+            # the rows stream into the empty list
             head, tail = _json_text(obj).rsplit("[]", 1)
             rows = json_rows()
             text = f"{head}[\n{next(rows)}"
@@ -299,8 +295,6 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     ids = [args.claim] if args.claim else claims.CLAIM_ORDER
     config = claims.HarnessConfig(seed=args.seed)
-    if args.max_arcs is not None:
-        config = config._replace(arc_cap=args.max_arcs)
     if args.n_max is not None:
         fields = {claims.CLAIM_INFO[cid][2] for cid in ids} - {None}
         config = config._replace(**dict.fromkeys(fields, args.n_max))
@@ -371,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dedup", action="store_true", help="emit each distinct web once")
     p.add_argument("--distribution", action="store_true",
                    help="include the residual histogram and per-web greedy counts")
-    p.add_argument("--max-arcs", type=int,
-                   help="arc cap of the per-web greedy counts (with --distribution)")
     common(p, ["text", "json", "csv"])
     p.set_defaults(func=cmd_enumerate)
 
@@ -382,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--claim", metavar="ID", help="run a single claim by id")
     p.add_argument("--n-max", type=int, help="override the range cap of range-based claims")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-arcs", type=int,
-                   help="arc cap of the greedy walk in the greedy-equivalence claim")
     common(p, ["text", "json"])
     p.set_defaults(func=cmd_verify)
 

@@ -57,13 +57,15 @@ arc cap on the whole web (GREEDY_ARC_CAP).
 
 from __future__ import annotations
 
-import random
 from functools import cached_property
 from itertools import accumulate, combinations
 from math import comb, factorial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import CapExceeded, Digraph, GraphError
+
+if TYPE_CHECKING:
+    import random
 
 SOLVER_GADGET_CAP = 2**17
 GREEDY_ARC_CAP = 24

@@ -25,7 +25,7 @@ from grogweb.claims import (
 )
 from grogweb.engine import IllegalBatchError, Web, strategy_to_json
 from grogweb.graphs import CapExceeded, GraphError, make_digraph
-from grogweb.webs import WEB_N_CAP, enumerate_webs, path_graph
+from grogweb.webs import WEB_EDGE_CAP, WEB_N_CAP, enumerate_webs, path_graph
 
 SMALL = HarnessConfig(runs_per_web=3, random_webs=5, random_greedy_webs=10)
 
@@ -162,6 +162,18 @@ class TestGreedyEquivalence:
     def test_named_corpus(self):
         report = check_greedy_equivalence(corpus_webs(SMALL))
         assert report.status == "pass"
+
+    @pytest.mark.parametrize("seed", [42, 1, 20150206])
+    def test_no_input_reaches_the_greedy_cap(self, seed):
+        # why neither `enumerate` nor `verify` has a greedy-cap flag: enumerate's
+        # webs stop at WEB_EDGE_CAP arcs and the harness corpora at 10, both
+        # below GREEDY_ARC_CAP; a change that breaks this must decide the cap anew
+        assert WEB_EDGE_CAP < engine.GREEDY_ARC_CAP
+        # the def-2.2-equivalence corpus is drawn from seed + 4
+        greedy = HarnessConfig(seed=seed + 4, random_webs=HarnessConfig().random_greedy_webs)
+        corpora = [HarnessConfig(seed=seed), greedy]
+        largest = max(len(w.digraph.arcs) for c in corpora for w in corpus_webs(c))
+        assert largest <= 10
 
 
 class TestWebCount:

@@ -63,11 +63,16 @@ CLI = REPORT + "import runpy\nrunpy.run_module('grogweb', run_name='__main__', a
 
 
 def modules(code: str, *argv: str) -> set[str]:
-    """Every module loaded by `code` (run with `argv`) in a fresh interpreter."""
+    """Every module loaded by `code` (run with `argv`) in a fresh interpreter.
+
+    `-S` skips `site`, whose `.pth` files may import stdlib modules (such
+    as `random`, through `tempfile`) before any grogweb code runs.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-S", "-c", code, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
@@ -121,6 +126,20 @@ def test_grog_solve_loads_no_enumeration_or_harness(tmp_path):
     modules = loaded(CLI, "grog", "solve", str(web))
     assert "grogweb.engine" in modules
     assert not modules & {"grogweb.webs", "grogweb.claims"}
+
+
+# `random` serves only the harness's draws; the engine names it in an
+# annotation alone
+@pytest.mark.parametrize("argv", [
+    ["grog", "solve", "web.json"],
+    ["grog", "run", "web.json", "--strategy", "strategy.json"],
+    ["enumerate", "--graph", "path", "--n", "4", "--distribution"],
+], ids=["grog-solve", "grog-run", "enumerate"])
+def test_engine_calls_load_no_random(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "web.json").write_text('{"n": 3, "arcs": [[1, 2], [2, 3]]}')
+    (tmp_path / "strategy.json").write_text("[]")
+    assert "random" not in modules(CLI, *argv)
 
 
 class TestNamespace:
