@@ -144,12 +144,11 @@ class ClaimReport(NamedTuple):
         }
 
 
-def _report(claim_id: str, status: str, instances: int, failures: list, values: dict) -> ClaimReport:
-    return ClaimReport(claim_id, CLAIM_INFO[claim_id][0], status, instances, failures, values)
-
-
-def _assert_status(failures: list) -> str:
-    return "fail" if failures else "pass"
+def _report(claim_id: str, instances: int, failures: list, values: dict) -> ClaimReport:
+    """The claim's report, with the status its catalog mode gives `failures`."""
+    mode = CLAIM_INFO[claim_id][0]
+    status = "reported" if mode == REPORT_ONLY else "fail" if failures else "pass"
+    return ClaimReport(claim_id, mode, status, instances, failures, values)
 
 
 def _web_json(web: Web) -> dict:
@@ -243,7 +242,7 @@ def check_exit_lemma(corpus: list[Web], runs: int, seed: int) -> ClaimReport:
         "runs_per_web": runs,
         "skipped_webs": len(corpus) - len(playable),
     }
-    return _report("lemma-2.1", _assert_status(failures), len(playable) * runs, failures, values)
+    return _report("lemma-2.1", len(playable) * runs, failures, values)
 
 
 def check_parity_and_arc_count(
@@ -272,8 +271,8 @@ def check_parity_and_arc_count(
     instances = len(corpus) * runs
     values = {"webs": len(corpus), "runs_per_web": runs}
     return (
-        _report("lemma-2.2", _assert_status(parity_failures), instances, parity_failures, values),
-        _report("lemma-2.3", _assert_status(count_failures), instances, count_failures, values),
+        _report("lemma-2.2", instances, parity_failures, values),
+        _report("lemma-2.3", instances, count_failures, values),
     )
 
 
@@ -290,7 +289,7 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int = GREEDY_ARC_CAP) -
                 "greedy_min": greedy.min_residual,
             })
     values = {"webs": len(corpus)}
-    return _report("def-2.2-equivalence", _assert_status(failures), len(corpus), failures, values)
+    return _report("def-2.2-equivalence", len(corpus), failures, values)
 
 
 def _family_grogs(family, n_max: int) -> dict[int, int]:
@@ -301,8 +300,7 @@ def _family_grogs(family, n_max: int) -> dict[int, int]:
 def _check_family_range(what: str, n_max: int) -> None:
     """Reject n_max outside 3..WEB_N_CAP before any base is solved.
 
-    The cap bounds the label placements that `grog_number` walks; the
-    message says "enumeration cost" because the report bytes are pinned.
+    The cap bounds the label placements that `grog_number` walks.
     """
     if n_max < 3:
         raise GraphError(f"{what} needs n_max >= 3, got {n_max}")
@@ -326,7 +324,7 @@ def check_path_recursion(n_max: int) -> ClaimReport:
                 "expected": g[n] + (n - 1),
             })
     values = {"g": {str(n): g[n] for n in sorted(g)}}
-    return _report("cor-2.5", _assert_status(failures), max(0, n_max - 3), failures, values)
+    return _report("cor-2.5", max(0, n_max - 3), failures, values)
 
 
 def check_path_extension_report(n_max: int) -> ClaimReport:
@@ -339,7 +337,7 @@ def check_path_extension_report(n_max: int) -> ClaimReport:
         per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
     values = {"per_web_grog": per_web, "extension_deltas": deltas}
-    return _report("prop-2.4", "reported", len(per_web) + len(deltas), [], values)
+    return _report("prop-2.4", len(per_web) + len(deltas), [], values)
 
 
 def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
@@ -357,7 +355,6 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
     prop = _report(
         "prop-2.7",
-        "reported",
         len(cycle_deltas),
         [],
         {
@@ -370,7 +367,6 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     )
     cor = _report(
         "cor-2.8",
-        "reported",
         len(diff),
         [],
         {
@@ -407,7 +403,7 @@ def check_orientation_divergence() -> ClaimReport:
         values["bases"][name] = {"min": lo, "max": hi, "distinct": distinct}
         if lo == hi:
             failures.append({"base": name, "grog": lo})
-    return _report("thm-2.6", _assert_status(failures), len(bases), failures, values)
+    return _report("thm-2.6", len(bases), failures, values)
 
 
 def check_jaco_recursion(
@@ -438,7 +434,6 @@ def check_jaco_recursion(
             divergences.append(n)
     lemma = _report(
         "lemma-2.9",
-        _assert_status(lemma_failures),
         lemma29_n_max - 1,
         lemma_failures,
         {
@@ -462,7 +457,6 @@ def check_jaco_recursion(
             })
     prop = _report(
         "prop-2.10",
-        _assert_status(rec_failures),
         max(0, n_max - 2),
         rec_failures,
         {
@@ -478,7 +472,6 @@ def check_jaco_recursion(
     ]
     cor = _report(
         "cor-2.11",
-        _assert_status(mono_failures),
         max(0, n_max - 2),
         mono_failures,
         {"g_jaco": {str(n): g[n] for n in sorted(g)}},
@@ -520,8 +513,8 @@ def check_termination_and_determinism(
     instances = len(corpus) * runs
     values = {"webs": len(corpus), "runs_per_web": runs}
     return (
-        _report("obs-1", _assert_status(term_failures), instances, term_failures, values),
-        _report("obs-2", _assert_status(det_failures), instances, det_failures, values),
+        _report("obs-1", instances, term_failures, values),
+        _report("obs-2", instances, det_failures, values),
     )
 
 
@@ -547,7 +540,7 @@ def check_web_count(webs: Webs | None = None) -> ClaimReport:
         else:
             entry["formula_mismatch"] = dedup != formula
         values["bases"][name] = entry
-    return _report("web-count", _assert_status(failures), len(bases), failures, values)
+    return _report("web-count", len(bases), failures, values)
 
 
 def check_competition_closed_form(n_max: int) -> ClaimReport:
@@ -555,7 +548,7 @@ def check_competition_closed_form(n_max: int) -> ClaimReport:
     result = check_theorem_1_1(n_max)
     failures = [r for r in result.results if not r["equal"]]
     values = {"n_range": [result.n_min, result.n_max]}
-    return _report("thm-1.1", _assert_status(failures), len(result.results), failures, values)
+    return _report("thm-1.1", len(result.results), failures, values)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,8 @@ def cmd_enumerate(args) -> int:
         base = families[args.graph](args.n)
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
+    if args.format == "csv" and not args.distribution:
+        raise GraphError("csv output needs --distribution")
     formula = web_count_formula(base.n, len(base.edges))
     # label placements give the graph-level values; grog_number checks the
     # base first, and the raw stream repeats each distinct web |Aut| times
@@ -230,8 +232,6 @@ def cmd_enumerate(args) -> int:
 
     rest = ()
     if args.format == "csv":
-        if not args.distribution:
-            raise GraphError("csv output needs --distribution")
         text = "residual,count\n" + "".join(f"{r},{c}\n" for r, c in distribution.items())
     elif args.format == "json":
         obj = {

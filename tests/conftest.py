@@ -381,3 +381,19 @@ def jaco_fixed_point_holds(digraph) -> bool:
             if ((i, j) in arcs) != (2 * i - dminus[i] >= j):
                 return False
     return True
+
+
+def bent_jaco_builder(build):
+    """`build` with J_10 bent to break Lemma 2.9 but no construction check:
+    v_4 becomes the Jaconian vertex with d^+(v_4) = 5, so i + d^+(v_i) = 9
+    = n - 1 while 2i - n = -2.  Other orders are built by `build`."""
+
+    def bent(n):
+        jg = build(n)
+        if n != 10:
+            return jg
+        out_deg = list(jg.out_deg)
+        out_deg[3] = 5
+        return jg._replace(jaconian=4, out_deg=tuple(out_deg))
+
+    return bent

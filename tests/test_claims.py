@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from conftest import bent_jaco_builder
 
 import grogweb.claims as claims
 import grogweb.engine as engine
@@ -112,6 +113,14 @@ class TestJacoClaims:
         assert prop.values["jaconian"] == {"2": 1, "3": 2, "4": 2, "5": 3, "6": 3}
         assert cor.status == "pass"
 
+    def test_lemma_2_9_counterexample_is_reported(self, monkeypatch):
+        monkeypatch.setattr(claims, "build_jaco", bent_jaco_builder(jaco.build_jaco))
+        report = run_claims(["lemma-2.9"], HarnessConfig())
+        lemma = report["claims"][0]
+        assert (lemma["id"], lemma["status"]) == ("lemma-2.9", "fail")
+        assert lemma["failures"] == [{"n": 10, "jaconian": 4, "two_i_minus_n": -2}]
+        assert report["status"] == "fail"
+
     def test_cap(self):
         # J_91 is the first Jaco web past the solver's gadget cap
         with pytest.raises(CapExceeded, match="gadget"):
@@ -212,6 +221,15 @@ class TestRegistry:
         grouped = [cid for ids, _ in claims._GROUPS for cid in ids]
         assert sorted(grouped) == sorted(CLAIM_INFO)
         assert len(grouped) == len(set(grouped))
+
+    def test_status_follows_the_catalog_mode(self, monkeypatch):
+        monkeypatch.setitem(CLAIM_INFO, "cor-2.5", (claims.REPORT_ONLY, *CLAIM_INFO["cor-2.5"][1:]))
+        monkeypatch.setitem(CLAIM_INFO, "cor-2.8", (claims.ASSERT, *CLAIM_INFO["cor-2.8"][1:]))
+        report = run_claims(["cor-2.5", "cor-2.8"], SMALL)
+        assert [(c["id"], c["mode"], c["status"]) for c in report["claims"]] == [
+            ("cor-2.5", "report-only", "reported"),
+            ("cor-2.8", "assert", "pass"),
+        ]
 
     def test_n_max_fields_are_config_fields(self):
         fields = set(HarnessConfig._fields)

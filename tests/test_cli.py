@@ -8,10 +8,10 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS, oracle_solve, run_cli
+from conftest import EXAMPLE1_WEBS, bent_jaco_builder, oracle_solve, run_cli
 
 from grogweb import claims, cli
-from grogweb.engine import Web, enumerate_greedy, solve_exact, strategy_to_json
+from grogweb.engine import GreedyResult, Web, enumerate_greedy, solve_exact, strategy_to_json
 from grogweb.graphs import GraphError, digraph_to_json, make_digraph, make_ugraph, ugraph_to_json
 from grogweb.jaco import build_jaco, jaco_to_json
 from grogweb.webs import (
@@ -296,6 +296,14 @@ class TestEnumerateCommand:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == "residual,count\n22,1290240\n24,3870720\n"
 
+    def test_csv_usage_error_comes_before_any_solve(self, monkeypatch, capsys):
+        def solve(*args, **kwargs):
+            raise AssertionError("grog_number called for a csv usage error")
+
+        monkeypatch.setattr("grogweb.webs.grog_number", solve)
+        assert cli.main(["enumerate", "--graph", "star", "--n", "8", "--format", "csv"]) == 2
+        assert capsys.readouterr().err == "error: csv output needs --distribution\n"
+
     def test_file_base(self, tmp_path):
         path = tmp_path / "base.json"
         path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
@@ -309,10 +317,18 @@ class TestEnumerateCommand:
         assert "g(G) = 2" in proc.stdout
         assert "min 2, max 2" in proc.stdout
 
-    def test_streams_the_webs(self, capsys):
-        # P_6 has 23,040 webs, about 11 MB if held as a list at once
+    def test_streams_the_webs(self, monkeypatch, capsys):
+        # P_6 has 23,040 webs, about 11 MB if held as a list at once; the
+        # greedy counter is stubbed, since test_engine bounds its own memory
+        calls = []
+
+        def greedy(web, *args, **kwargs):
+            calls.append(None)
+            return GreedyResult(1, 0)
+
         cli.main(["enumerate", "--graph", "path", "--n", "3", "--distribution"])
         capsys.readouterr()
+        monkeypatch.setattr("grogweb.engine.enumerate_greedy", greedy)
         tracemalloc.start()
         try:
             assert cli.main(["enumerate", "--graph", "path", "--n", "6", "--distribution"]) == 0
@@ -320,6 +336,7 @@ class TestEnumerateCommand:
         finally:
             tracemalloc.stop()
         assert "webs enumerated: 23040" in capsys.readouterr().out
+        assert len(calls) == 23040
         assert peak < 2 * 2**20
 
     def test_json_rows_stream_to_the_file(self, capsys, tmp_path):
@@ -600,6 +617,11 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         claim = json.loads(proc.stdout)["claims"][0]
         assert (claim["status"], claim["instances"]) == ("pass", 10)
+
+    def test_lemma_2_9_counterexample_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(claims, "build_jaco", bent_jaco_builder(build_jaco))
+        assert cli.main(["verify", "--claim", "lemma-2.9"]) == 1
+        assert '"two_i_minus_n": -2' in capsys.readouterr().out
 
     def test_rejects_max_arcs(self):
         proc = run_cli("verify", "--max-arcs", "5")

@@ -1,5 +1,5 @@
 import pytest
-from conftest import jaco_fixed_point_holds, oracle_jaco
+from conftest import bent_jaco_builder, jaco_fixed_point_holds, oracle_jaco
 
 from grogweb.graphs import CapExceeded, GraphError
 from grogweb.jaco import (
@@ -98,6 +98,10 @@ class TestJaconian:
         # v_3 reaching only itself breaks i + d+(v_i) in {n - 1, n}
         with pytest.raises(RuntimeError, match="i \\+ d\\+"):
             check_jaconian(jg._replace(out_deg=(1, 1, 0, 1, 0)))
+
+    def test_lemma_2_9_is_not_a_construction_check(self):
+        # 2i - n < 0 is the lemma-2.9 claim's to report, not an invariant
+        assert check_jaconian(bent_jaco_builder(build_jaco)(10)) == 4
 
     def test_order_1_has_no_jaconian(self):
         assert build_jaco(1).jaconian is None
