@@ -47,7 +47,9 @@ strategy on one list and one arc set and build the final `GrogState` and
 draws each batch from the state of its own play, so a drawn strategy
 comes with its result and needs no replay.  `legal_predations`
 subtracts, from the remaining arcs, the arcs at every vertex of
-population 0, read off a per-web incidence table built once per `Web`.
+population 0, read off a per-web incidence table built once per `Web`,
+and returns what is left as a tuple in `Digraph.arcs` order, so a
+caller's tie-breaks need no sort.
 
 The exact solver's cost is the memory of the core's matching gadget,
 bounded by SOLVER_GADGET_CAP, which no caller can move.  The greedy
@@ -190,15 +192,16 @@ def new_state(web: Web) -> GrogState:
     return GrogState(web, frozenset(web.digraph.arcs), web.populations)
 
 
-def legal_predations(state: GrogState) -> set[tuple[int, int]]:
-    """Remaining arcs whose both endpoints still have population >= 1.
+def legal_predations(state: GrogState) -> tuple[tuple[int, int], ...]:
+    """Remaining arcs whose both endpoints still have population >= 1,
+    in `Digraph.arcs` order (ascending (tail, head)), as
+    `random_maximal_run` keeps them.
 
     Empty exactly when the state is terminal.
     """
     incident = state.web.incident_arcs
-    legal = set(state.remaining)
-    legal.difference_update(*(incident[k] for k, p in enumerate(state.pop) if p < 1))
-    return legal
+    legal = state.remaining.difference(*(incident[k] for k, p in enumerate(state.pop) if p < 1))
+    return tuple(filter(legal.__contains__, state.web.digraph.arcs))
 
 
 def _play(pop: list[int], remaining, batch: PredationBatch) -> list[tuple[int, int]]:
@@ -283,9 +286,9 @@ def random_maximal_run(web: Web, rng: random.Random) -> tuple[Strategy, RunResul
     many of its legal prey, and plays the batch through the same checks
     as `run_strategy`; the result is the one `run_strategy(web, strategy,
     require_exit=True)` returns.  Deterministic given the rng.  Legal
-    arcs are kept in `Digraph.arcs` order, which is sorted, and an arc
-    that stops being legal never becomes legal again, so each step
-    filters the previous step's list.
+    arcs are kept in `Digraph.arcs` order, which is sorted and the order
+    of `legal_predations`, and an arc that stops being legal never
+    becomes legal again, so each step filters the previous step's list.
     """
     pop = list(web.populations)
     remaining = set(web.digraph.arcs)

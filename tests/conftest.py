@@ -21,7 +21,6 @@ from grogweb.engine import (
     Strategy,
     Web,
     apply_batch,
-    legal_predations,
     new_state,
     solve_exact,
 )
@@ -154,7 +153,7 @@ def oracle_greedy(web: Web) -> tuple[int, int]:
 
     def rec(state) -> None:
         nonlocal count, best
-        legal = sorted(legal_predations(state))
+        legal = sorted(oracle_legal_predations(state))
         if not legal:
             count += 1
             residual = sum(state.pop)

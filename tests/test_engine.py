@@ -78,19 +78,19 @@ class TestState:
 
     def test_legal_initial(self):
         s = new_state(web(3, [(1, 2), (2, 3)]))
-        assert legal_predations(s) == {(1, 2), (2, 3)}
+        assert legal_predations(s) == ((1, 2), (2, 3))
 
     def test_legal_excludes_exhausted_predator(self):
         w = web(3, [(1, 2), (1, 3)])
         s = apply_batch(new_state(w), PredationBatch(1, (2,)))
         assert s.population(1) == 0
-        assert legal_predations(s) == set()
+        assert legal_predations(s) == ()
 
     def test_legal_excludes_exhausted_prey(self):
         w = web(3, [(3, 1), (2, 1)])
         s = apply_batch(new_state(w), PredationBatch(3, (1,)))
         assert s.population(1) == 0
-        assert legal_predations(s) == set()
+        assert legal_predations(s) == ()
 
 
 class TestApplyBatch:
@@ -390,6 +390,21 @@ def test_random_maximal_run_equals_the_oracle_draw(w, seed):
     assert result == run_strategy(w, strategy, require_exit=True)
 
 
+@given(random_webs(max_n=7, max_extra=8), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_random_maximal_run_plays_legal_predations(w, seed):
+    """Replayed with apply_batch, each drawn batch takes legal arcs of its
+    predator, and the play ends where no arc is legal."""
+    strategy = random_maximal_run(w, random.Random(seed))[0]
+    state = new_state(w)
+    for batch in strategy:
+        legal = legal_predations(state)
+        assert {(batch.predator, p) for p in batch.prey} <= set(legal)
+        assert batch.predator in {t for t, _ in legal}
+        state = apply_batch(state, batch)
+    assert legal_predations(state) == ()
+
+
 @given(random_webs(), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_batches_equal_their_serialization(w, seed):
@@ -423,8 +438,8 @@ def random_states(draw):
 @settings(max_examples=150, deadline=None)
 def test_legal_predations_equals_literal_scan(state):
     legal = legal_predations(state)
-    assert type(legal) is set
-    assert legal == oracle_legal_predations(state)
+    assert type(legal) is tuple
+    assert legal == tuple(sorted(oracle_legal_predations(state)))
 
 
 def fold_apply_batch(w, strategy):
