@@ -96,8 +96,7 @@ _GROUPS = (
         check_exit_lemma(_corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 1)]),
     (("lemma-2.2", "lemma-2.3"), lambda c, webs: check_parity_and_arc_count(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
-    (("prop-2.4",), lambda c, webs: [check_path_extension_report(c.n_max_path)]),
-    (("cor-2.5",), lambda c, webs: [check_path_recursion(c.n_max_path)]),
+    (("prop-2.4", "cor-2.5"), lambda c, webs: check_path_relations(c.n_max_path)),
     (("thm-2.6",), lambda c, webs: [check_orientation_divergence()]),
     (("prop-2.7", "cor-2.8"), lambda c, webs: check_cycle_relations(c.n_max_cycle)),
     (("lemma-2.9", "prop-2.10", "cor-2.11"),
@@ -106,7 +105,7 @@ _GROUPS = (
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
     (("def-2.2-equivalence",), lambda c, webs: [check_greedy_equivalence(
         _corpus(webs, c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c, webs: [check_web_count(webs=webs)]),
+    (("web-count",), lambda c, webs: [check_web_count(webs)]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -310,8 +309,9 @@ def _check_family_range(what: str, n_max: int) -> None:
         )
 
 
-def check_path_recursion(n_max: int) -> ClaimReport:
-    """cor-2.5: brute-forced g(P_n) satisfies g(P_{n+1}) = g(P_n) + (n - 1)."""
+def check_path_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
+    """cor-2.5's g(P_{n+1}) = g(P_n) + (n - 1) and prop-2.4's (report-only)
+    per-web grog histograms and extension deltas, from one brute-forced g(P_n)."""
     _check_family_range("path recursion", n_max)
     g = _family_grogs(path_graph, n_max)
     failures = []
@@ -323,21 +323,16 @@ def check_path_recursion(n_max: int) -> ClaimReport:
                 "g_n_plus_1": g[n + 1],
                 "expected": g[n] + (n - 1),
             })
-    values = {"g": {str(n): g[n] for n in sorted(g)}}
-    return _report("cor-2.5", max(0, n_max - 3), failures, values)
-
-
-def check_path_extension_report(n_max: int) -> ClaimReport:
-    """prop-2.4 (report-only): per-web grog histograms and extension deltas."""
-    _check_family_range("path extension report", n_max)
-    g = _family_grogs(path_graph, n_max)
     per_web = {}
     for n in range(3, min(5, n_max) + 1):
         hist = residual_distribution(path_graph(n))
         per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
     values = {"per_web_grog": per_web, "extension_deltas": deltas}
-    return _report("prop-2.4", len(per_web) + len(deltas), [], values)
+    return (
+        _report("prop-2.4", len(per_web) + len(deltas), [], values),
+        _report("cor-2.5", max(0, n_max - 3), failures, {"g": {str(n): g[n] for n in sorted(g)}}),
+    )
 
 
 def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
@@ -351,6 +346,7 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     _check_family_range("cycle relations", n_max)
     gc = _family_grogs(cycle_graph, n_max)
     gp = _family_grogs(path_graph, n_max)
+    g_cycle = {str(n): gc[n] for n in sorted(gc)}
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
     prop = _report(
@@ -358,7 +354,7 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
         len(cycle_deltas),
         [],
         {
-            "g_cycle": {str(n): gc[n] for n in sorted(gc)},
+            "g_cycle": g_cycle,
             "cycle_deltas": cycle_deltas,
             "plus_n_minus_1_pattern": {
                 str(n + 1): gc[n + 1] - gc[n] == n - 1 for n in range(3, n_max)
@@ -370,7 +366,7 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
         len(diff),
         [],
         {
-            "g_cycle": {str(n): gc[n] for n in sorted(gc)},
+            "g_cycle": g_cycle,
             "g_path": {str(n): gp[n] for n in sorted(gp)},
             "cycle_minus_path": diff,
             "naive_minus_2_reading_holds": all(v == -2 for v in diff.values()),
@@ -407,7 +403,7 @@ def check_orientation_divergence() -> ClaimReport:
 
 
 def check_jaco_recursion(
-    n_max: int, lemma29_n_max: int | None = None
+    n_max: int, lemma29_n_max: int
 ) -> tuple[ClaimReport, ClaimReport, ClaimReport]:
     """lemma-2.9, prop-2.10 and cor-2.11 with exactly solved g(J_n(1))."""
     if n_max < 2:
@@ -419,8 +415,7 @@ def check_jaco_recursion(
     for n in range(n_max, 1, -1):
         built[n] = build_jaco(n)
         g[n] = solve_exact(Web(built[n].digraph)).grog
-    if lemma29_n_max is None:
-        lemma29_n_max = max(n_max, 40)
+    g_jaco = {str(n): g[n] for n in sorted(g)}
 
     # lemma-2.9 plus the max-degree cross-check (construction only, no solver)
     lemma_failures = []
@@ -460,7 +455,7 @@ def check_jaco_recursion(
         max(0, n_max - 2),
         rec_failures,
         {
-            "g_jaco": {str(n): g[n] for n in sorted(g)},
+            "g_jaco": g_jaco,
             "jaconian": {str(n): jaconian[n] for n in sorted(jaconian)},
         },
     )
@@ -474,7 +469,7 @@ def check_jaco_recursion(
         "cor-2.11",
         max(0, n_max - 2),
         mono_failures,
-        {"g_jaco": {str(n): g[n] for n in sorted(g)}},
+        {"g_jaco": g_jaco},
     )
     return lemma, prop, cor
 
@@ -518,7 +513,7 @@ def check_termination_and_determinism(
     )
 
 
-def check_web_count(webs: Webs | None = None) -> ClaimReport:
+def check_web_count(webs: Webs) -> ClaimReport:
     """web-count: dedup count vs the half-formula.
 
     Equality is asserted only for bases with exactly 2 automorphisms;
@@ -526,7 +521,6 @@ def check_web_count(webs: Webs | None = None) -> ClaimReport:
     half-formula over-counts the identification for them.
     """
     bases = _named_bases() + [("K2", path_graph(2))]
-    webs = webs or _dedup_webs
     failures = []
     values: dict = {"bases": {}}
     for name, base in bases:
@@ -555,18 +549,19 @@ def check_competition_closed_form(n_max: int) -> ClaimReport:
 # orchestration
 # ---------------------------------------------------------------------------
 
+# the report's "caps" names of the range fields; each other field but the
+# seed, which the report holds at its top level, keeps its own name
+_CAPS_NAMES = {
+    "n_max_thm11": "thm_1_1_n_max",
+    "n_max_path": "path_n_max",
+    "n_max_cycle": "cycle_n_max",
+    "n_max_jaco": "jaco_n_max",
+    "n_max_lemma29": "lemma_2_9_n_max",
+}
+
+
 def _config_json(config: HarnessConfig) -> dict:
-    return {
-        "thm_1_1_n_max": config.n_max_thm11,
-        "path_n_max": config.n_max_path,
-        "cycle_n_max": config.n_max_cycle,
-        "jaco_n_max": config.n_max_jaco,
-        "lemma_2_9_n_max": config.n_max_lemma29,
-        "runs_per_web": config.runs_per_web,
-        "random_webs": config.random_webs,
-        "random_greedy_webs": config.random_greedy_webs,
-        "arc_cap": config.arc_cap,
-    }
+    return {_CAPS_NAMES.get(k, k): v for k, v in config._asdict().items() if k != "seed"}
 
 
 def _assemble(reports: list[ClaimReport], config: HarnessConfig) -> dict:

@@ -201,10 +201,10 @@ def cmd_enumerate(args) -> int:
         base = ugraph_from_json(_load_json_file(args.graph))
     if args.format == "csv" and not args.distribution:
         raise GraphError("csv output needs --distribution")
-    formula = web_count_formula(base.n, len(base.edges))
-    # label placements give the graph-level values; grog_number checks the
-    # base first, and the raw stream repeats each distinct web |Aut| times
+    # grog_number checks the base before anything is counted; label placements
+    # give the graph-level values, and the raw stream repeats each web |Aut| times
     grog, witness, _ = grog_number(base)
+    formula = web_count_formula(base.n, len(base.edges))
     scale = 1 if args.dedup else automorphism_count(base)
     distribution = {r: c * scale for r, c in residual_distribution(base).items()}
     web_count = sum(distribution.values())

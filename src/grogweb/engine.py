@@ -402,11 +402,17 @@ class _BMatching:
     holds every arc taken.  `examined` counts the matchings examined: the
     seed and one per augmenting-path search.  Vertices flagged in `dead`
     have left the gadget.  Each copy of v meets the deg(v) edge-vertices
-    at v, and a gadget of more than SOLVER_GADGET_CAP such copy edges
+    at v, and a gadget of more than SOLVER_GADGET_CAP such copy edges, or
+    with per-vertex tables for more than SOLVER_GADGET_CAP vertices,
     raises CapExceeded before it is built.
     """
 
     def __init__(self, n: int, arcs, b):
+        if n > SOLVER_GADGET_CAP:
+            raise CapExceeded(
+                f"the solver gadget would have tables for {n} vertices, "
+                f"above the cap {SOLVER_GADGET_CAP}"
+            )
         deg = [0] * (n + 1)
         for t, h in arcs:
             deg[t] += 1
@@ -667,11 +673,12 @@ def strategy_from_json(obj) -> Strategy:
         raise GraphError('strategy JSON must be [{"predator": <int>, "prey": [...]}, ...]')
     batches = []
     for item in obj:
-        # vertices are exactly int, as in graph files: bool is an int subclass
+        # vertices are exactly int (bool is an int subclass) and prey distinct, as in graph files
         if (
             not isinstance(item, dict) or "predator" not in item or "prey" not in item
             or type(item["predator"]) is not int or type(item["prey"]) is not list
             or any(type(v) is not int for v in item["prey"])
+            or len(set(item["prey"])) != len(item["prey"])
         ):
             raise GraphError(f"bad strategy entry: {item!r}")
         batches.append(PredationBatch(item["predator"], item["prey"]))

@@ -30,7 +30,6 @@ class CapExceeded(GraphError):
     """
 
 
-ORIENTATION_EDGE_CAP = 20
 INDEXING_CAP = 8
 
 
@@ -132,21 +131,14 @@ def orientations(g: UGraph) -> Iterator[Digraph]:
 
     Deterministic order: edges sorted, direction bits in binary counting
     order (bit k of the counter flips edge k; bit 0 keeps the u < v
-    direction).  Refuses graphs with more than ORIENTATION_EDGE_CAP edges.
+    direction).  The stream is lazy, so its callers bound eps.
     """
-    eps = len(g.edges)
-    if eps > ORIENTATION_EDGE_CAP:
-        raise CapExceeded(f"{eps} edges exceed the orientation cap {ORIENTATION_EDGE_CAP}")
-
-    def gen() -> Iterator[Digraph]:
-        for mask in range(1 << eps):
-            arcs = tuple(sorted(
-                (u, v) if not mask >> k & 1 else (v, u)
-                for k, (u, v) in enumerate(g.edges)
-            ))
-            yield Digraph(g.n, arcs)
-
-    return gen()
+    for mask in range(1 << len(g.edges)):
+        arcs = tuple(sorted(
+            (u, v) if not mask >> k & 1 else (v, u)
+            for k, (u, v) in enumerate(g.edges)
+        ))
+        yield Digraph(g.n, arcs)
 
 
 def indexings(n: int) -> Iterator[Indexing]:

@@ -84,11 +84,13 @@ def web_count_formula(n: int, eps: int) -> int:
     """The half-formula count n! * 2^eps / 2.
 
     Errors out past the signed 64-bit range so downstream consumers can
-    rely on machine-width counts.
+    rely on machine-width counts.  From n = 21 or eps = 64 on, either
+    factor alone is at least 2^64, whose half is past that range, so
+    neither is built any larger.
     """
-    value = math.factorial(n) * 2**eps // 2
+    value = (math.factorial(min(n, 21)) << min(eps, 64)) // 2
     if value > INT64_MAX:
-        raise OverflowError(f"web count {value} exceeds the 64-bit range")
+        raise OverflowError(f"web count {n}! * 2^{eps} / 2 exceeds the 64-bit range")
     return value
 
 

@@ -7,6 +7,7 @@ from conftest import bent_jaco_builder
 import grogweb.claims as claims
 import grogweb.engine as engine
 import grogweb.jaco as jaco
+import grogweb.webs as webs
 from grogweb.claims import (
     CLAIM_INFO,
     CLAIM_ORDER,
@@ -17,8 +18,7 @@ from grogweb.claims import (
     check_jaco_recursion,
     check_orientation_divergence,
     check_parity_and_arc_count,
-    check_path_extension_report,
-    check_path_recursion,
+    check_path_relations,
     check_web_count,
     corpus_webs,
     run_all,
@@ -31,8 +31,12 @@ from grogweb.webs import WEB_EDGE_CAP, WEB_N_CAP, enumerate_webs, path_graph
 SMALL = HarnessConfig(runs_per_web=3, random_webs=5, random_greedy_webs=10)
 
 
+def dedup_webs(base):
+    return list(enumerate_webs(base, dedup=True))
+
+
 def p3_webs():
-    return list(enumerate_webs(path_graph(3), dedup=True))
+    return dedup_webs(path_graph(3))
 
 
 class TestLemmaChecks:
@@ -61,15 +65,15 @@ class TestLemmaChecks:
 
 class TestPathAndCycle:
     def test_path_recursion_values(self):
-        report = check_path_recursion(6)
+        _, report = check_path_relations(6)
         assert report.status == "pass"
         assert report.values["g"] == {"3": 2, "4": 4, "5": 7, "6": 11}
 
     def test_path_recursion_domain(self):
         with pytest.raises(ValueError):
-            check_path_recursion(2)
+            check_path_relations(2)
         with pytest.raises(CapExceeded):
-            check_path_recursion(9)
+            check_path_relations(9)
 
     def test_family_caps_raise_before_any_work(self, monkeypatch):
         def no_enumeration(*args, **kwargs):
@@ -77,14 +81,14 @@ class TestPathAndCycle:
 
         monkeypatch.setattr(claims, "residual_distribution", no_enumeration)
         monkeypatch.setattr(claims, "grog_number", no_enumeration)
-        for check in (check_path_recursion, check_path_extension_report, check_cycle_relations):
+        for check in (check_path_relations, check_cycle_relations):
             with pytest.raises(CapExceeded):
                 check(WEB_N_CAP + 1)
             with pytest.raises(GraphError):
                 check(2)
 
     def test_path_recursion_past_six(self):
-        report = check_path_recursion(7)
+        _, report = check_path_relations(7)
         assert report.status == "pass"
         assert report.values["g"]["7"] == 16
 
@@ -97,10 +101,22 @@ class TestPathAndCycle:
         assert cor.values["naive_minus_2_reading_holds"] is False
 
     def test_path_extension_report(self):
-        report = check_path_extension_report(6)
+        report, _ = check_path_relations(6)
         assert report.status == "reported"
         assert report.values["per_web_grog"]["P3"] == {"2": 8, "4": 4}
         assert report.values["extension_deltas"] == {"4": 2, "5": 3, "6": 4}
+
+    def test_path_claims_share_one_solve_per_order(self, monkeypatch):
+        solved = []
+
+        def counting(base):
+            solved.append(base.n)
+            return webs.grog_number(base)
+
+        monkeypatch.setattr(claims, "grog_number", counting)
+        report = run_claims(["prop-2.4", "cor-2.5"], HarnessConfig())
+        assert [c["status"] for c in report["claims"]] == ["reported", "pass"]
+        assert solved == [3, 4, 5, 6]
 
 
 class TestJacoClaims:
@@ -124,9 +140,9 @@ class TestJacoClaims:
     def test_cap(self):
         # J_91 is the first Jaco web past the solver's gadget cap
         with pytest.raises(CapExceeded, match="gadget"):
-            check_jaco_recursion(91)
+            check_jaco_recursion(91, 40)
         with pytest.raises(GraphError):
-            check_jaco_recursion(1)
+            check_jaco_recursion(1, 40)
 
     def test_top_order_is_solved_first(self, monkeypatch):
         solved = []
@@ -137,7 +153,7 @@ class TestJacoClaims:
 
         monkeypatch.setattr(claims, "solve_exact", recording)
         with pytest.raises(CapExceeded):
-            check_jaco_recursion(95)
+            check_jaco_recursion(95, 40)
         assert solved == [95]
 
     def test_each_order_is_built_once(self, monkeypatch):
@@ -187,7 +203,7 @@ class TestGreedyEquivalence:
 
 class TestWebCount:
     def test_counts_and_mismatch_flags(self):
-        report = check_web_count()
+        report = check_web_count(dedup_webs)
         assert report.status == "pass"
         bases = report.values["bases"]
         assert bases["P3"] == {"formula": 12, "dedup": 12, "aut": 2}

@@ -181,6 +181,14 @@ class TestGrogCommand:
         assert cli.main(["grog", "run", web1_file, "--strategy", str(strategy)]) == 2
         assert capsys.readouterr().err == f"error: bad strategy entry: {entry!r}\n"
 
+    def test_run_rejects_repeated_prey(self, web1_file, tmp_path):
+        # a frozenset would merge the two into one predation
+        strategy = tmp_path / "s.json"
+        strategy.write_text(json.dumps([{"predator": 2, "prey": [3, 3]}]))
+        proc = run_cli("grog", "run", web1_file, "--strategy", str(strategy))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: bad strategy entry: {'predator': 2, 'prey': [3, 3]}\n"
+
     def test_run_out_of_range_vertex_is_illegal(self, capsys, web1_file, tmp_path):
         strategy = tmp_path / "s.json"
         strategy.write_text(json.dumps([{"predator": 9, "prey": [2]}]))
@@ -206,6 +214,16 @@ class TestGrogCommand:
         proc = run_cli("grog", "solve", jaco_file(tmp_path, 300))
         assert proc.returncode == 2
         assert "solver gadget would have 4753110 copy edges" in proc.stderr
+
+    def test_solve_cap_counts_vertices(self, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 1000000, "arcs": [[1, 2]]}))
+        proc = run_cli("grog", "solve", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: the solver gadget would have tables for 1000000 vertices, "
+            "above the cap 131072\n"
+        )
 
     def test_solve_past_24_arcs(self, tmp_path):
         # J_80 has 1228 arcs: g = 80 * 81 / 2 - 2 * 1228
@@ -276,6 +294,14 @@ class TestEnumerateCommand:
         start = time.perf_counter()
         assert cli.main(["enumerate", "--graph", "path", "--n", "9"]) == 2
         assert time.perf_counter() - start < 1.0
+
+    def test_base_error_comes_before_the_count(self, tmp_path):
+        # 2000! has 5,736 digits: the count's overflow used to come first
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"n": 2000, "edges": []}))
+        proc = run_cli("enumerate", "--graph", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: base graph must be connected\n"
 
     def test_rejects_max_n(self):
         proc = run_cli("enumerate", "--graph", "path", "--n", "3", "--max-n", "5")

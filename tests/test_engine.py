@@ -239,6 +239,21 @@ class TestSolveExact:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
+    def test_cap_counts_the_vertex_tables(self):
+        # one arc on 2^17 + 1 vertices has a single copy edge, but the
+        # per-vertex tables would take about 150 bytes a vertex
+        web = Web(make_digraph(engine.SOLVER_GADGET_CAP + 1, [(1, 2)]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="gadget"):
+                solve_exact(web)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        web = Web(make_digraph(engine.SOLVER_GADGET_CAP, [(1, 2)]))
+        assert solve_exact(web).grog == web.total_population - 2
+
     def test_jaco_far_past_the_memo_oracle(self):
         # g(J_2) .. g(J_20); J_20 has 78 arcs, 2^78 remaining-arc states
         expected = [1, 2, 4, 5, 7, 8, 10, 13, 15, 18, 22, 25, 29, 32, 36, 41, 45, 50, 54]

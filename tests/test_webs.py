@@ -88,6 +88,14 @@ class TestWebCountFormula:
         with pytest.raises(OverflowError):
             web_count_formula(21, 4)
 
+    def test_overflow_names_n_and_eps(self):
+        # 21! / 2 alone is past 2^63; 10^6! has 5.5 M digits, too slow to
+        # build and too long to print
+        assert web_count_formula(20, 2) == math.factorial(20) * 2
+        for n, eps in ((21, 0), (10**6, 3)):
+            with pytest.raises(OverflowError, match=rf"web count {n}! \* 2\^{eps} / 2 exceeds"):
+                web_count_formula(n, eps)
+
 
 class TestEnumerateWebs:
     def test_path3_dedup_is_the_twelve_webs(self):
