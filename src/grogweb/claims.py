@@ -133,14 +133,8 @@ class ClaimReport(NamedTuple):
     values: dict
 
     def to_json(self) -> dict:
-        return {
-            "id": self.claim_id,
-            "mode": self.mode,
-            "status": self.status,
-            "instances": self.instances,
-            "failures": self.failures,
-            "values": self.values,
-        }
+        """The fields in order, with claim_id named "id"."""
+        return dict(zip(("id", *self._fields[1:]), self))
 
 
 def _report(claim_id: str, instances: int, failures: list, values: dict) -> ClaimReport:
@@ -331,7 +325,7 @@ def check_path_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     values = {"per_web_grog": per_web, "extension_deltas": deltas}
     return (
         _report("prop-2.4", len(per_web) + len(deltas), [], values),
-        _report("cor-2.5", max(0, n_max - 3), failures, {"g": {str(n): g[n] for n in sorted(g)}}),
+        _report("cor-2.5", n_max - 3, failures, {"g": {str(n): g[n] for n in sorted(g)}}),
     )
 
 
@@ -405,39 +399,32 @@ def check_orientation_divergence() -> ClaimReport:
 def check_jaco_recursion(
     n_max: int, lemma29_n_max: int
 ) -> tuple[ClaimReport, ClaimReport, ClaimReport]:
-    """lemma-2.9, prop-2.10 and cor-2.11 with exactly solved g(J_n(1))."""
+    """lemma-2.9, prop-2.10 and cor-2.11 with exactly solved g(J_n(1)).
+
+    One pass from the top order, max(n_max, lemma29_n_max), down to J_2
+    builds and construction-checks each J_n once, so an order past a cap
+    raises before any other is built.  J_n is solved when n <= n_max and
+    checked for lemma-2.9 when n <= lemma29_n_max.
+    """
     if n_max < 2:
         raise GraphError(f"Jaco recursion needs n_max >= 2, got {n_max}")
-    # top order first: a J_n past the solver's cap raises before any other work;
-    # the solved orders are kept so that each J_n is built once
-    built = {}
-    g = {}
-    for n in range(n_max, 1, -1):
-        built[n] = build_jaco(n)
-        g[n] = solve_exact(Web(built[n].digraph)).grog
-    g_jaco = {str(n): g[n] for n in sorted(g)}
+    g, jaconian, lemma_failures, divergences = {}, {}, [], []
+    for n in range(max(n_max, lemma29_n_max), 1, -1):
+        jg = build_jaco(n)
+        i = jaconian[n] = check_jaconian(jg)
+        if n <= n_max:
+            g[n] = solve_exact(Web(jg.digraph)).grog
+        if n <= lemma29_n_max:
+            if 2 * i - n < 0:
+                lemma_failures.append({"n": n, "jaconian": i, "two_i_minus_n": 2 * i - n})
+            if min(max_degree_vertices(jg)) != i:
+                divergences.append(n)
+    # the pass ran downward; the report lists orders ascending
+    lemma = _report("lemma-2.9", lemma29_n_max - 1, lemma_failures[::-1], {
+        "n_range": [2, lemma29_n_max],
+        "max_degree_divergences": divergences[::-1],
+    })
 
-    # lemma-2.9 plus the max-degree cross-check (construction only, no solver)
-    lemma_failures = []
-    divergences = []
-    for n in range(2, lemma29_n_max + 1):
-        jg = built[n] if n in built else build_jaco(n)
-        i = check_jaconian(jg)
-        if 2 * i - n < 0:
-            lemma_failures.append({"n": n, "jaconian": i, "two_i_minus_n": 2 * i - n})
-        if min(max_degree_vertices(jg)) != i:
-            divergences.append(n)
-    lemma = _report(
-        "lemma-2.9",
-        lemma29_n_max - 1,
-        lemma_failures,
-        {
-            "n_range": [2, lemma29_n_max],
-            "max_degree_divergences": divergences,
-        },
-    )
-
-    jaconian = {n: check_jaconian(built[n]) for n in range(2, n_max)}
     rec_failures = []
     for n in range(2, n_max):
         i = jaconian[n]
@@ -450,27 +437,17 @@ def check_jaco_recursion(
                 "g_n_plus_1": g[n + 1],
                 "expected": expected,
             })
-    prop = _report(
-        "prop-2.10",
-        max(0, n_max - 2),
-        rec_failures,
-        {
-            "g_jaco": g_jaco,
-            "jaconian": {str(n): jaconian[n] for n in sorted(jaconian)},
-        },
-    )
-
+    g_jaco = {str(n): g[n] for n in sorted(g)}
+    prop = _report("prop-2.10", n_max - 2, rec_failures, {
+        "g_jaco": g_jaco,
+        "jaconian": {str(n): jaconian[n] for n in range(2, n_max)},
+    })
     mono_failures = [
         {"n": n, "g_n": g[n], "g_n_plus_1": g[n + 1]}
         for n in range(2, n_max)
         if g[n + 1] <= g[n]
     ]
-    cor = _report(
-        "cor-2.11",
-        max(0, n_max - 2),
-        mono_failures,
-        {"g_jaco": g_jaco},
-    )
+    cor = _report("cor-2.11", n_max - 2, mono_failures, {"g_jaco": g_jaco})
     return lemma, prop, cor
 
 
@@ -564,6 +541,14 @@ def _config_json(config: HarnessConfig) -> dict:
     return {_CAPS_NAMES.get(k, k): v for k, v in config._asdict().items() if k != "seed"}
 
 
+def _empty_range(claim_id: str, config: HarnessConfig) -> str:
+    """The skip reason of a claim that checked no instance."""
+    field = CLAIM_INFO[claim_id][2]
+    if field is None:
+        return "no instance to check"
+    return f"empty range: {_CAPS_NAMES[field]} = {getattr(config, field)} leaves no instance"
+
+
 def _assemble(reports: list[ClaimReport], config: HarnessConfig) -> dict:
     by_id = {r.claim_id: r for r in reports}
     ordered = [by_id[c] for c in CLAIM_ORDER if c in by_id]
@@ -586,7 +571,8 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
     """Run the groups covering the requested claims; unknown ids raise KeyError.
 
     A group that raises GraphError (a cap or a precondition) becomes
-    skipped entries with the reason; any other error propagates.
+    skipped entries with the reason; any other error propagates.  An
+    assert-mode claim that checked no instance is skipped, not passed.
     """
     unknown = [c for c in claim_ids if c not in CLAIM_INFO]
     if unknown:
@@ -599,6 +585,9 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
             deduped[base] = _dedup_webs(base)
         return deduped[base]
 
+    def skipped(cid: str, reason: str) -> ClaimReport:
+        return ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": reason})
+
     reports: list[ClaimReport] = []
     for ids, runner in _GROUPS:
         if not wanted.intersection(ids):
@@ -606,11 +595,12 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         try:
             group_reports = runner(config, webs)
         except GraphError as exc:
-            group_reports = [
-                ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": str(exc)})
-                for cid in ids
-            ]
-        reports.extend(r for r in group_reports if r.claim_id in wanted)
+            group_reports = [skipped(cid, str(exc)) for cid in ids]
+        reports.extend(
+            skipped(r.claim_id, _empty_range(r.claim_id, config))
+            if r.status == "pass" and r.instances < 1 else r
+            for r in group_reports if r.claim_id in wanted
+        )
     return _assemble(reports, config)
 
 

@@ -177,6 +177,7 @@ def cmd_enumerate(args) -> int:
     from .graphs import digraph_to_json, ugraph_from_json, ugraph_to_json, underlying
     from .webs import (
         automorphism_count,
+        check_web_order,
         complete_graph,
         cycle_graph,
         enumerate_webs,
@@ -196,6 +197,7 @@ def cmd_enumerate(args) -> int:
     if args.graph in families:
         if args.n is None:
             raise GraphError(f"--graph {args.graph} needs --n")
+        check_web_order(args.n)  # before the family builds a base of that order
         base = families[args.graph](args.n)
     else:
         base = ugraph_from_json(_load_json_file(args.graph))

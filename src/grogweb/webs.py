@@ -94,11 +94,16 @@ def web_count_formula(n: int, eps: int) -> int:
     return value
 
 
+def check_web_order(n: int) -> None:
+    """Refuse an order past WEB_N_CAP, before any base of that order is built."""
+    if n > WEB_N_CAP:
+        raise CapExceeded(f"n={n} exceeds the web enumeration cap {WEB_N_CAP}")
+
+
 def _check_base(g: UGraph) -> None:
     if not is_connected(g):
         raise GraphError("base graph must be connected")
-    if g.n > WEB_N_CAP:
-        raise CapExceeded(f"n={g.n} exceeds the web enumeration cap {WEB_N_CAP}")
+    check_web_order(g.n)
     if len(g.edges) > WEB_EDGE_CAP:
         raise CapExceeded(f"{len(g.edges)} edges exceed the web enumeration cap {WEB_EDGE_CAP}")
 

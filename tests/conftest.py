@@ -396,3 +396,17 @@ def bent_jaco_builder(build):
         return jg._replace(jaconian=4, out_deg=tuple(out_deg))
 
     return bent
+
+
+def top_first_builder(build, top: int):
+    """`build` that fails unless its first call builds order `top`, so a
+    sweep that would build its smaller orders first stops at once."""
+    calls = []
+
+    def guarded(n):
+        if not calls and n != top:
+            raise AssertionError(f"first build is J_{n}, not the top order J_{top}")
+        calls.append(n)
+        return build(n)
+
+    return guarded

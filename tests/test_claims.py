@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from conftest import bent_jaco_builder
+from conftest import bent_jaco_builder, top_first_builder
 
 import grogweb.claims as claims
 import grogweb.engine as engine
@@ -168,6 +168,62 @@ class TestJacoClaims:
         monkeypatch.setattr(claims, "build_jaco", counting)
         check_jaco_recursion(7, lemma29_n_max=40)
         assert sorted(built) == list(range(2, 41))
+
+    @pytest.mark.parametrize("n_max, lemma29_n_max", [
+        (7, jaco.JACO_ORDER_CAP + 1), (jaco.JACO_ORDER_CAP + 1, 40),
+    ])
+    def test_order_cap_raises_before_any_other_build(self, monkeypatch, n_max, lemma29_n_max):
+        top = max(n_max, lemma29_n_max)
+        monkeypatch.setattr(claims, "build_jaco", top_first_builder(jaco.build_jaco, top))
+        with pytest.raises(CapExceeded, match=f"Jaco order {top} exceeds the cap"):
+            check_jaco_recursion(n_max, lemma29_n_max)
+
+    def test_lemma_orders_above_the_solved_range_are_built_not_solved(self, monkeypatch):
+        solved = []
+
+        def recording(web):
+            solved.append(web.n)
+            return engine.solve_exact(web)
+
+        monkeypatch.setattr(claims, "solve_exact", recording)
+        lemma, prop, _ = check_jaco_recursion(4, lemma29_n_max=9)
+        assert solved == [4, 3, 2]
+        assert (lemma.instances, lemma.values["n_range"]) == (8, [2, 9])
+        assert prop.values["jaconian"] == {"2": 1, "3": 2}
+
+
+class TestEmptyRange:
+    @pytest.mark.parametrize("cid, n_max, name", [
+        ("cor-2.5", 3, "path_n_max"),
+        ("prop-2.10", 2, "jaco_n_max"),
+        ("cor-2.11", 2, "jaco_n_max"),
+        ("lemma-2.9", -3, "lemma_2_9_n_max"),
+        ("lemma-2.9", 1, "lemma_2_9_n_max"),
+    ])
+    def test_assert_claim_without_instance_is_skipped(self, cid, n_max, name):
+        report = run_claims([cid], HarnessConfig()._replace(**{CLAIM_INFO[cid][2]: n_max}))
+        (claim,) = report["claims"]
+        assert (claim["status"], claim["instances"], claim["failures"]) == ("skipped", 0, [])
+        assert claim["values"] == {
+            "skip_reason": f"empty range: {name} = {n_max} leaves no instance"
+        }
+        assert report["status"] == "incomplete"
+
+    def test_claim_without_range(self):
+        report = run_claims(["lemma-2.1"], SMALL._replace(runs_per_web=0))
+        assert report["claims"][0]["values"] == {"skip_reason": "no instance to check"}
+        assert report["status"] == "incomplete"
+
+    def test_report_only_claim_stays_reported(self):
+        report = run_claims(["prop-2.7"], HarnessConfig(n_max_cycle=3))
+        assert (report["claims"][0]["status"], report["claims"][0]["instances"]) == ("reported", 0)
+        assert report["status"] == "pass"
+
+    def test_one_instance_still_passes(self):
+        report = run_claims(["lemma-2.9", "cor-2.5"], HarnessConfig(n_max_lemma29=2, n_max_path=4))
+        assert [(c["status"], c["instances"]) for c in report["claims"]] == [
+            ("pass", 1), ("pass", 1),
+        ]
 
 
 class TestDivergence:

@@ -8,12 +8,12 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS, bent_jaco_builder, oracle_solve, run_cli
+from conftest import EXAMPLE1_WEBS, bent_jaco_builder, oracle_solve, run_cli, top_first_builder
 
-from grogweb import claims, cli
+from grogweb import claims, cli, competition
 from grogweb.engine import GreedyResult, Web, enumerate_greedy, solve_exact, strategy_to_json
 from grogweb.graphs import GraphError, digraph_to_json, make_digraph, make_ugraph, ugraph_to_json
-from grogweb.jaco import build_jaco, jaco_to_json
+from grogweb.jaco import JACO_ORDER_CAP, build_jaco, jaco_to_json
 from grogweb.webs import (
     complete_graph,
     cycle_graph,
@@ -113,6 +113,12 @@ class TestCompetitionCommand:
     def test_missing_input(self):
         proc = run_cli("competition")
         assert proc.returncode == 2
+
+    def test_check_past_the_order_cap_builds_nothing_else(self, monkeypatch, capsys):
+        top = JACO_ORDER_CAP + 1
+        monkeypatch.setattr(competition, "build_jaco", top_first_builder(build_jaco, top))
+        assert cli.main(["competition", "--check", "--jaco", str(top)]) == 2
+        assert capsys.readouterr().err == f"error: Jaco order {top} exceeds the cap 10000\n"
 
 
 class TestGrogCommand:
@@ -294,6 +300,14 @@ class TestEnumerateCommand:
         start = time.perf_counter()
         assert cli.main(["enumerate", "--graph", "path", "--n", "9"]) == 2
         assert time.perf_counter() - start < 1.0
+
+    def test_order_cap_comes_before_the_base(self, monkeypatch, capsys):
+        def build(n):
+            raise AssertionError("complete_graph called past the order cap")
+
+        monkeypatch.setattr("grogweb.webs.complete_graph", build)
+        assert cli.main(["enumerate", "--graph", "complete", "--n", "100000"]) == 2
+        assert capsys.readouterr().err == "error: n=100000 exceeds the web enumeration cap 8\n"
 
     def test_base_error_comes_before_the_count(self, tmp_path):
         # 2000! has 5,736 digits: the count's overflow used to come first
@@ -672,6 +686,18 @@ class TestVerifyCommand:
         report = json.loads(proc.stdout)
         assert report["claims"][0]["status"] == "skipped"
         assert report["status"] == "incomplete"
+
+    def test_empty_range_is_not_a_pass(self, capsys):
+        assert cli.main(["verify", "--claim", "lemma-2.9", "--n-max", "-3"]) == 1
+        out = capsys.readouterr().out
+        assert "    skipped: empty range: lemma_2_9_n_max = -3 leaves no instance\n" in out
+        assert out.endswith("overall: incomplete\n")
+
+    def test_lemma_2_9_past_the_order_cap_builds_nothing_else(self, monkeypatch, capsys):
+        top = JACO_ORDER_CAP + 1
+        monkeypatch.setattr(claims, "build_jaco", top_first_builder(build_jaco, top))
+        assert cli.main(["verify", "--claim", "lemma-2.9", "--n-max", str(top)]) == 1
+        assert f"skipped: Jaco order {top} exceeds the cap" in capsys.readouterr().out
 
     def test_skipped_claim_is_not_a_pass(self):
         proc = run_cli("verify", "--claim", "cor-2.5", "--n-max", "9")

@@ -1,7 +1,12 @@
 import random
 
 import pytest
-from conftest import oracle_competition_edges, oracle_isolated, oracle_theorem_1_1
+from conftest import (
+    oracle_competition_edges,
+    oracle_isolated,
+    oracle_theorem_1_1,
+    top_first_builder,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +18,8 @@ from grogweb.competition import (
     competition_to_json,
     jaco_competition_closed_form,
 )
-from grogweb.graphs import GraphError, make_digraph
-from grogweb.jaco import build_jaco
+from grogweb.graphs import CapExceeded, GraphError, make_digraph
+from grogweb.jaco import JACO_ORDER_CAP, build_jaco
 
 
 @st.composite
@@ -141,7 +146,16 @@ class TestTheoremCheck:
 
         monkeypatch.setattr(competition, "build_jaco", spy)
         assert check_theorem_1_1(30).all_equal
-        assert built == list(range(5, 31))
+        assert built == list(range(30, 4, -1))
+
+    def test_results_are_ascending(self):
+        assert [r["n"] for r in check_theorem_1_1(12).results] == list(range(5, 13))
+
+    def test_order_cap_raises_before_any_other_build(self, monkeypatch):
+        top = JACO_ORDER_CAP + 1
+        monkeypatch.setattr(competition, "build_jaco", top_first_builder(build_jaco, top))
+        with pytest.raises(CapExceeded, match=f"Jaco order {top} exceeds the cap"):
+            check_theorem_1_1(top)
 
     def test_extreme_vertices_isolated(self):
         for n in range(5, 41):
