@@ -43,7 +43,7 @@ from .engine import (
     strategy_to_json,
 )
 from .graphs import CapExceeded, Digraph, GraphError, UGraph, digraph_to_json
-from .jaco import build_jaco, check_jaconian, max_degree_vertices
+from .jaco import build_jaco, check_jaconian, jaco_table, max_degree_vertex
 from .webs import (
     WEB_N_CAP,
     automorphism_count,
@@ -401,42 +401,33 @@ def check_jaco_recursion(
 ) -> tuple[ClaimReport, ClaimReport, ClaimReport]:
     """lemma-2.9, prop-2.10 and cor-2.11 with exactly solved g(J_n(1)).
 
-    One pass from the top order, max(n_max, lemma29_n_max), down to J_2
-    builds and construction-checks each J_n once, so an order past a cap
-    raises before any other is built.  J_n is solved when n <= n_max and
-    checked for lemma-2.9 when n <= lemma29_n_max.
+    Every order is read off one table of the top order, max(n_max,
+    lemma29_n_max), so an order past the cap raises before any other
+    work.  J_n is built and solved only for n <= n_max, from n_max down
+    before any order is read, so the solver's cap raises on the top order.
     """
     if n_max < 2:
         raise GraphError(f"Jaco recursion needs n_max >= 2, got {n_max}")
-    g, jaconian, lemma_failures, divergences = {}, {}, [], []
-    for n in range(max(n_max, lemma29_n_max), 1, -1):
-        jg = build_jaco(n)
-        i = jaconian[n] = check_jaconian(jg)
-        if n <= n_max:
-            g[n] = solve_exact(Web(jg.digraph)).grog
-        if n <= lemma29_n_max:
-            if 2 * i - n < 0:
-                lemma_failures.append({"n": n, "jaconian": i, "two_i_minus_n": 2 * i - n})
-            if min(max_degree_vertices(jg)) != i:
-                divergences.append(n)
-    # the pass ran downward; the report lists orders ascending
-    lemma = _report("lemma-2.9", lemma29_n_max - 1, lemma_failures[::-1], {
+    top = max(n_max, lemma29_n_max)
+    table = jaco_table(top)
+    g = {n: solve_exact(Web(build_jaco(n).digraph)).grog for n in range(n_max, 1, -1)}
+    jaconian = {n: check_jaconian(table, n) for n in range(2, top + 1)}
+    lemma_orders = range(2, lemma29_n_max + 1)
+    lemma = _report("lemma-2.9", lemma29_n_max - 1, [
+        {"n": n, "jaconian": jaconian[n], "two_i_minus_n": 2 * jaconian[n] - n}
+        for n in lemma_orders if 2 * jaconian[n] - n < 0
+    ], {
         "n_range": [2, lemma29_n_max],
-        "max_degree_divergences": divergences[::-1],
+        "max_degree_divergences": [
+            n for n in lemma_orders if max_degree_vertex(table, n) != jaconian[n]
+        ],
     })
 
-    rec_failures = []
-    for n in range(2, n_max):
-        i = jaconian[n]
-        expected = g[n] + (2 * i - n) + 1
-        if g[n + 1] != expected:
-            rec_failures.append({
-                "n": n,
-                "jaconian": i,
-                "g_n": g[n],
-                "g_n_plus_1": g[n + 1],
-                "expected": expected,
-            })
+    expected = {n: g[n] + (2 * jaconian[n] - n) + 1 for n in range(2, n_max)}
+    rec_failures = [
+        {"n": n, "jaconian": jaconian[n], "g_n": g[n], "g_n_plus_1": g[n + 1], "expected": e}
+        for n, e in expected.items() if g[n + 1] != e
+    ]
     g_jaco = {str(n): g[n] for n in sorted(g)}
     prop = _report("prop-2.10", n_max - 2, rec_failures, {
         "g_jaco": g_jaco,

@@ -7,23 +7,25 @@ into v_i have head i, so d^-(v_i) is final before v_i is ever consulted
 as a tail.  The order-n graph is obtained by lobbing off every vertex
 above n together with the arcs into it, which is the same as stopping
 the iteration at j = n.  Consequently the order-n graph is a prefix of
-the order-(n + 1) graph.
+the order-(n + 1) graph, and one table of order n holds every order up
+to n: jaco_table(n) lists the in-degree d^-(v_i) and the unclamped reach
+B_i = 2i - d^-(v_i) of each v_i, and J_m(1), m <= n, is its first m rows.
 
-Out-neighbors of a tail are a consecutive run i+1 .. 2i - d^-(v_i), a
-fact the competition closed form relies on.  build_jaco emits each run
+Out-neighbors of a tail in J_m(1) are a consecutive run i+1 .. min(m, B_i),
+a fact the competition closed form relies on.  build_jaco emits each run
 with one extend over a slice of a single list of vertex ints, so all
 arcs at v_j hold the same int object: CPython caches ints only up to
 256, and one new int per arc would be about a quarter of J_3000's
-memory.  It keeps the in-degrees as a difference array: a run
+memory.  jaco_table keeps the in-degrees as a difference array: a run
 i+1 .. top adds one at i+1 and removes it after top, and the running
 sum is d^-(v_i) by the time tail i reads it.
 
-The Jaconian vertex v_i of J_n(1) is recovered from the extension step:
-going to order n + 1 adds exactly the arcs (v_{i+1}, v_{n+1}) through
-(v_n, v_{n+1}), so i = n - d^-(v_{n+1}) where the in-degree is taken in
-J_{n+1}(1).  Construction sanity is checked on every query, by
-check_jaconian on an already-built graph: i + d^+(v_i) must be n or
-n - 1.  Lemma 2.9's 2i - n >= 0 is decided by the lemma-2.9 claim.
+The Jaconian vertex v_i of J_m(1) is recovered from the extension step:
+going to order m + 1 adds exactly the arcs (v_{i+1}, v_{m+1}) through
+(v_m, v_{m+1}), so i = m - d^-(v_{m+1}), and that in-degree counts the
+tails t <= m with B_t > m.  check_jaconian reads it off the table and
+checks the construction: i + d^+(v_i) = min(m, B_i) must be m or m - 1.
+Lemma 2.9's 2i - m >= 0 is decided by the lemma-2.9 claim.
 """
 
 from __future__ import annotations
@@ -50,13 +52,12 @@ class JacoGraph(NamedTuple):
     jaconian: int | None
 
 
-def build_jaco(n: int) -> JacoGraph:
-    """Construct J_n(1) iteratively.
+def jaco_table(n: int) -> tuple[list[int], list[int]]:
+    """(in-degrees d^-(v_i), reaches B_i) of v_1 .. v_n, 1-indexed via
+    position i - 1, in O(1) Python steps per vertex.
 
-    Linear in the arc count with O(1) Python steps per tail: each tail i
-    emits the consecutive arcs (i, i+1) .. (i, min(n, 2i - d^-(v_i))) in
-    one extend, and in-degrees are complete before they are read because
-    arcs only point upward.  Orders above JACO_ORDER_CAP raise CapExceeded.
+    In-degrees are complete before they are read because arcs only point
+    upward.  Orders above JACO_ORDER_CAP raise CapExceeded.
     """
     if type(n) is not int or n < 1:
         raise GraphError(f"Jaco graph order must be a positive integer, got {n!r}")
@@ -64,35 +65,28 @@ def build_jaco(n: int) -> JacoGraph:
         raise CapExceeded(f"Jaco order {n} exceeds the cap {JACO_ORDER_CAP}")
 
     step = [0] * (n + 2)  # difference array of the in-degrees
-    dminus = [0] * (n + 1)
-    dplus = [0] * (n + 1)
+    in_deg, reach = [], []
+    running = 0
+    for i in range(1, n + 1):
+        running += step[i]
+        in_deg.append(running)
+        reach.append(2 * i - running)
+        step[i + 1] += 1
+        step[min(n, 2 * i - running) + 1] -= 1
+    return in_deg, reach
+
+
+def build_jaco(n: int) -> JacoGraph:
+    """Construct J_n(1) from its table, linear in the arc count: each tail
+    i emits the arcs (i, i+1) .. (i, min(n, B_i)) in one extend."""
+    table = in_deg, reach = jaco_table(n)
     vertices = list(range(n + 1))  # one int per vertex, shared by all its arcs
     arcs: list[tuple[int, int]] = []
-    running = 0
-    for i in vertices[1:]:
-        running += step[i]
-        dminus[i] = running
-        top = min(n, 2 * i - running)
-        if top > i:
-            arcs.extend(zip(repeat(i), vertices[i + 1:top + 1]))
-            step[i + 1] += 1
-            step[top + 1] -= 1
-            dplus[i] = top - i
-
-    if n >= 2:
-        # in-degree v_{n+1} would have, without materializing it
-        into_next = sum(1 for i in range(1, n + 1) if 2 * i - dminus[i] >= n + 1)
-        jaconian = n - into_next
-    else:
-        jaconian = None
-
-    return JacoGraph(
-        n=n,
-        digraph=Digraph(n, tuple(arcs)),
-        in_deg=tuple(dminus[1:]),
-        out_deg=tuple(dplus[1:]),
-        jaconian=jaconian,
-    )
+    for i, b in zip(vertices[1:], reach):
+        arcs.extend(zip(repeat(i), vertices[i + 1:min(n, b) + 1]))
+    out_deg = tuple(min(n, b) - i for i, b in enumerate(reach, 1))
+    jaconian = check_jaconian(table, n) if n >= 2 else None
+    return JacoGraph(n, Digraph(n, tuple(arcs)), tuple(in_deg), out_deg, jaconian)
 
 
 def jaconian_vertex(n: int) -> int:
@@ -100,37 +94,39 @@ def jaconian_vertex(n: int) -> int:
     by check_jaconian (the lemma-2.9 claim decides 2i - n >= 0)."""
     if type(n) is not int or n < 2:
         raise GraphError(f"Jaconian vertex needs n >= 2, got {n!r}")
-    return check_jaconian(build_jaco(n))
+    return check_jaconian(jaco_table(n), n)
 
 
-def check_jaconian(jg: JacoGraph) -> int:
-    """The Jaconian vertex of a built J_n(1), n >= 2, after checking it.
+def check_jaconian(table: tuple[list[int], list[int]], n: int) -> int:
+    """The Jaconian vertex of J_n(1), read off a table of order n or more
+    after checking it.
 
     Raises RuntimeError unless i + d^+(v_i) is n - 1 or n, which would
-    signal a bug in build_jaco rather than bad input.  Lemma 2.9's
+    signal a bug in jaco_table rather than bad input.  Lemma 2.9's
     2i - n >= 0 is not checked: the lemma-2.9 claim decides and reports it.
     """
-    n, i = jg.n, jg.jaconian
-    if i is None:
-        raise GraphError(f"Jaconian vertex needs n >= 2, got {n!r}")
-    reach = i + jg.out_deg[i - 1]
-    if reach not in (n - 1, n):
+    reach = table[1]
+    if not 2 <= n <= len(reach):
+        raise GraphError(f"Jaconian vertex needs 2 <= n <= {len(reach)}, got {n!r}")
+    i = n - sum(b > n for b in reach[:n])
+    top = min(n, reach[i - 1])
+    if top not in (n - 1, n):
         raise RuntimeError(
-            f"Jaconian invariant broken at n={n}: i + d+(v_i) = {reach}, expected {n - 1} or {n}"
+            f"Jaconian invariant broken at n={n}: i + d+(v_i) = {top}, expected {n - 1} or {n}"
         )
     return i
 
 
-def max_degree_vertices(jg: JacoGraph) -> tuple[int, ...]:
-    """Vertices of maximum total degree, ascending.
+def max_degree_vertex(table: tuple[list[int], list[int]], n: int) -> int:
+    """The least vertex of maximum total degree d^-(v_j) + min(n, B_j) - j
+    in J_n(1), n <= the table's order.
 
-    Kept alongside jaconian for cross-checking: the two notions agree on
-    the smallest max-degree index for every order checked so far, and
-    the verification report records any order where they differ.
+    Kept alongside jaconian for cross-checking: the two notions agree for
+    every order checked so far, and the verification report records any
+    order where they differ.
     """
-    deg = [jg.in_deg[k] + jg.out_deg[k] for k in range(jg.n)]
-    top = max(deg)
-    return tuple(i + 1 for i, d in enumerate(deg) if d == top)
+    deg = [d + min(n, b) - j for j, d, b in zip(range(1, n + 1), *table)]
+    return deg.index(max(deg)) + 1
 
 
 def jaco_to_json(jg: JacoGraph) -> dict:

@@ -180,8 +180,10 @@ def automorphism_count(g: UGraph) -> int:
     return count
 
 
-def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, SolveResult]]:
-    """Each placement of labels 1..k, k = max(D - 1, 0) for max degree D, solved.
+def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, int, SolveResult | None]]:
+    """Each placement of labels 1..k, k = max(D - 1, 0) for max degree D,
+    with its web's grog number, and the web's SolveResult on its first
+    placement only (None after).
 
     Each placement gives the other labels, in ascending order, to the free
     positions in position order: the lexicographically least indexing with
@@ -190,15 +192,16 @@ def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, SolveResult]]:
     """
     _check_base(g)
     k = max(max(g.degree(v) for v in range(1, g.n + 1)) - 1, 0)
-    solved: dict[Web, SolveResult] = {}
+    grogs: dict[Web, int] = {}
     for placed in itertools.permutations(range(1, g.n + 1), k):
         rest = iter(range(k + 1, g.n + 1))
         position = {p: label for label, p in enumerate(placed, 1)}
         labels = tuple(position.get(p) or next(rest) for p in range(1, g.n + 1))
         web = Web(Digraph(g.n, tuple(sorted((labels[p - 1], labels[q - 1]) for p, q in g.edges))))
-        if web not in solved:
-            solved[web] = solve_exact(web)
-        yield labels, web, solved[web]
+        result = None if web in grogs else solve_exact(web)
+        if result is not None:
+            grogs[web] = result.grog
+        yield labels, web, grogs[web], result
 
 
 class GraphGrogResult(NamedTuple):
@@ -216,10 +219,18 @@ def grog_number(g: UGraph) -> GraphGrogResult:
     without deduplication: the mask-0 web of the least indexing that
     attains the minimum, since every earlier indexing has a larger value
     in all of its orientations.  That indexing is the least of its
-    placement, so it is the least optimal placement indexing.
+    placement, so it is the least optimal placement indexing.  Only the
+    solves of webs at the running minimum are kept: a later witness web
+    was at the minimum when it was solved.
     """
-    _, web, best = min(_placements(g), key=lambda item: (item[2].grog, item[0]))
-    return GraphGrogResult(best.grog, web, best.witness)
+    best, kept = (math.inf,), {}  # (grog, labels, web) of the least placement so far
+    for labels, web, grog, result in _placements(g):
+        if grog < best[0]:
+            kept = {}
+        best = min(best, (grog, labels, web))
+        if result is not None and grog == best[0]:
+            kept[web] = result
+    return GraphGrogResult(best[0], best[2], kept[best[2]].witness)
 
 
 def residual_distribution(g: UGraph) -> dict[int, int]:
@@ -229,7 +240,7 @@ def residual_distribution(g: UGraph) -> dict[int, int]:
     edge set arises from |Aut(g)| indexings, and each has 2^eps distinct
     orientations.
     """
-    counts = Counter(result.grog for _, _, result in _placements(g))
+    counts = Counter(grog for _, _, grog, _ in _placements(g))
     scale = (math.factorial(g.n) // counts.total()) << len(g.edges)
     aut = automorphism_count(g)
     return {grog: count * scale // aut for grog, count in sorted(counts.items())}

@@ -382,25 +382,26 @@ def jaco_fixed_point_holds(digraph) -> bool:
     return True
 
 
-def bent_jaco_builder(build):
-    """`build` with J_10 bent to break Lemma 2.9 but no construction check:
-    v_4 becomes the Jaconian vertex with d^+(v_4) = 5, so i + d^+(v_i) = 9
-    = n - 1 while 2i - n = -2.  Other orders are built by `build`."""
+def bent_jaconian_reader(read):
+    """`read` (check_jaconian) with J_10 bent to break Lemma 2.9 but no
+    construction check: at order 10 it reads a table where v_4 is the
+    Jaconian vertex with reach 9, so i + d^+(v_i) = 9 = n - 1 while
+    2i - n = -2.  Other orders are read as they are."""
 
-    def bent(n):
-        jg = build(n)
+    def bent(table, n):
         if n != 10:
-            return jg
-        out_deg = list(jg.out_deg)
-        out_deg[3] = 5
-        return jg._replace(jaconian=4, out_deg=tuple(out_deg))
+            return read(table, n)
+        reach = list(table[1])
+        reach[3:6] = [9, 11, 11]  # B_4 = 9; v_5 .. v_10 reach past v_10
+        return read((table[0], reach), n)
 
     return bent
 
 
 def top_first_builder(build, top: int):
-    """`build` that fails unless its first call builds order `top`, so a
-    sweep that would build its smaller orders first stops at once."""
+    """`build` (build_jaco or jaco_table) that fails unless its first call
+    is for order `top`, so a sweep that would start on its smaller orders
+    stops at once."""
     calls = []
 
     def guarded(n):

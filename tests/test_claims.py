@@ -1,8 +1,9 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
-from conftest import bent_jaco_builder, top_first_builder
+from conftest import bent_jaconian_reader, top_first_builder
 
 import grogweb.claims as claims
 import grogweb.engine as engine
@@ -130,7 +131,7 @@ class TestJacoClaims:
         assert cor.status == "pass"
 
     def test_lemma_2_9_counterexample_is_reported(self, monkeypatch):
-        monkeypatch.setattr(claims, "build_jaco", bent_jaco_builder(jaco.build_jaco))
+        monkeypatch.setattr(claims, "check_jaconian", bent_jaconian_reader(jaco.check_jaconian))
         report = run_claims(["lemma-2.9"], HarnessConfig())
         lemma = report["claims"][0]
         assert (lemma["id"], lemma["status"]) == ("lemma-2.9", "fail")
@@ -156,38 +157,48 @@ class TestJacoClaims:
             check_jaco_recursion(95, 40)
         assert solved == [95]
 
-    def test_each_order_is_built_once(self, monkeypatch):
-        built = []
-        real = jaco.build_jaco
+    @pytest.mark.parametrize("n_max, lemma29_n_max, top", [(7, 40, 40), (7, 5, 7)])
+    def test_one_table_of_the_top_order(self, monkeypatch, n_max, lemma29_n_max, top):
+        tables, built = [], []
+        monkeypatch.setattr(claims, "jaco_table", lambda n: tables.append(n) or jaco.jaco_table(n))
+        monkeypatch.setattr(claims, "build_jaco", lambda n: built.append(n) or jaco.build_jaco(n))
+        check_jaco_recursion(n_max, lemma29_n_max)
+        # every order is read off one table; only the solved orders are built
+        assert tables == [top]
+        assert built == list(range(n_max, 1, -1))
 
-        def counting(n):
-            built.append(n)
-            return real(n)
-
-        monkeypatch.setattr(jaco, "build_jaco", counting)
-        monkeypatch.setattr(claims, "build_jaco", counting)
-        check_jaco_recursion(7, lemma29_n_max=40)
-        assert sorted(built) == list(range(2, 41))
+    def test_holds_no_arcs_of_the_lemma_orders(self):
+        # holding J_500(1)'s 47,782 arc tuples peaks at 6.5 MB; its table is 1,000 ints
+        tracemalloc.start()
+        try:
+            lemma, _, _ = check_jaco_recursion(7, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (lemma.status, lemma.instances) == ("pass", 499)
+        assert peak < 1 << 20, f"peak {peak} B"
 
     @pytest.mark.parametrize("n_max, lemma29_n_max", [
         (7, jaco.JACO_ORDER_CAP + 1), (jaco.JACO_ORDER_CAP + 1, 40),
     ])
     def test_order_cap_raises_before_any_other_build(self, monkeypatch, n_max, lemma29_n_max):
         top = max(n_max, lemma29_n_max)
+        monkeypatch.setattr(claims, "jaco_table", top_first_builder(jaco.jaco_table, top))
         monkeypatch.setattr(claims, "build_jaco", top_first_builder(jaco.build_jaco, top))
         with pytest.raises(CapExceeded, match=f"Jaco order {top} exceeds the cap"):
             check_jaco_recursion(n_max, lemma29_n_max)
 
-    def test_lemma_orders_above_the_solved_range_are_built_not_solved(self, monkeypatch):
-        solved = []
+    def test_lemma_orders_above_the_solved_range_are_read_not_built(self, monkeypatch):
+        built, solved = [], []
 
         def recording(web):
             solved.append(web.n)
             return engine.solve_exact(web)
 
+        monkeypatch.setattr(claims, "build_jaco", lambda n: built.append(n) or jaco.build_jaco(n))
         monkeypatch.setattr(claims, "solve_exact", recording)
         lemma, prop, _ = check_jaco_recursion(4, lemma29_n_max=9)
-        assert solved == [4, 3, 2]
+        assert built == solved == [4, 3, 2]
         assert (lemma.instances, lemma.values["n_range"]) == (8, [2, 9])
         assert prop.values["jaconian"] == {"2": 1, "3": 2}
 

@@ -8,12 +8,12 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS, bent_jaco_builder, oracle_solve, run_cli, top_first_builder
+from conftest import EXAMPLE1_WEBS, bent_jaconian_reader, oracle_solve, run_cli, top_first_builder
 
 from grogweb import claims, cli, competition
 from grogweb.engine import GreedyResult, Web, enumerate_greedy, solve_exact, strategy_to_json
 from grogweb.graphs import GraphError, digraph_to_json, make_digraph, make_ugraph, ugraph_to_json
-from grogweb.jaco import JACO_ORDER_CAP, build_jaco, jaco_to_json
+from grogweb.jaco import JACO_ORDER_CAP, build_jaco, check_jaconian, jaco_table, jaco_to_json
 from grogweb.webs import (
     complete_graph,
     cycle_graph,
@@ -659,7 +659,7 @@ class TestVerifyCommand:
         assert (claim["status"], claim["instances"]) == ("pass", 10)
 
     def test_lemma_2_9_counterexample_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(claims, "build_jaco", bent_jaco_builder(build_jaco))
+        monkeypatch.setattr(claims, "check_jaconian", bent_jaconian_reader(check_jaconian))
         assert cli.main(["verify", "--claim", "lemma-2.9"]) == 1
         assert '"two_i_minus_n": -2' in capsys.readouterr().out
 
@@ -695,6 +695,7 @@ class TestVerifyCommand:
 
     def test_lemma_2_9_past_the_order_cap_builds_nothing_else(self, monkeypatch, capsys):
         top = JACO_ORDER_CAP + 1
+        monkeypatch.setattr(claims, "jaco_table", top_first_builder(jaco_table, top))
         monkeypatch.setattr(claims, "build_jaco", top_first_builder(build_jaco, top))
         assert cli.main(["verify", "--claim", "lemma-2.9", "--n-max", str(top)]) == 1
         assert f"skipped: Jaco order {top} exceeds the cap" in capsys.readouterr().out

@@ -1,13 +1,14 @@
 import pytest
-from conftest import bent_jaco_builder, jaco_fixed_point_holds, oracle_jaco
+from conftest import bent_jaconian_reader, jaco_fixed_point_holds, oracle_jaco
 
 from grogweb.graphs import CapExceeded, GraphError
 from grogweb.jaco import (
     build_jaco,
     check_jaconian,
+    jaco_table,
     jaco_to_json,
     jaconian_vertex,
-    max_degree_vertices,
+    max_degree_vertex,
 )
 
 
@@ -37,6 +38,16 @@ class TestBuildJaco:
             jg = build_jaco(n)
             assert (jg.digraph.arcs, jg.in_deg, jg.out_deg, jg.jaconian) == oracle_jaco(n), n
 
+    def test_every_order_reads_off_one_table(self):
+        # J_m(1) is a prefix of J_300(1): its in-degrees are the table's
+        # first m rows, its out-degrees min(m, B_i) - i
+        table = in_deg, reach = jaco_table(300)
+        for m in range(1, 301):
+            _, oracle_in, oracle_out, oracle_jaconian = oracle_jaco(m)
+            assert tuple(in_deg[:m]) == oracle_in, m
+            assert tuple(min(m, b) - i for i, b in enumerate(reach[:m], 1)) == oracle_out, m
+            assert (check_jaconian(table, m) if m >= 2 else None) == oracle_jaconian, m
+
     def test_arcs_share_one_int_per_vertex(self):
         # ints above 256 are not cached; one object per vertex keeps the
         # arc tuples the only per-arc allocation
@@ -65,6 +76,10 @@ class TestBuildJaco:
             build_jaco(0)
         with pytest.raises(CapExceeded):
             build_jaco(10_001)
+        with pytest.raises(GraphError, match="positive integer"):
+            jaco_table(0)
+        with pytest.raises(CapExceeded, match="Jaco order 10001 exceeds the cap 10000"):
+            jaco_table(10_001)
 
 
 class TestJaconian:
@@ -82,26 +97,33 @@ class TestJaconian:
 
     def test_matches_min_max_degree_vertex_up_to_40(self):
         # open cross-check against the max-degree notion; any divergence
-        # would be reported by the harness, none is known below 40
+        # would be reported by the harness, none is known below 40.  The
+        # table reader agrees with the degrees of each built graph.
+        table = jaco_table(40)
         for n in range(2, 41):
-            assert min(max_degree_vertices(build_jaco(n))) == jaconian_vertex(n)
+            jg = build_jaco(n)
+            deg = [d_in + d_out for d_in, d_out in zip(jg.in_deg, jg.out_deg)]
+            assert max_degree_vertex(table, n) == deg.index(max(deg)) + 1 == jaconian_vertex(n)
 
     def test_domain(self):
         with pytest.raises(GraphError):
             jaconian_vertex(1)
         with pytest.raises(GraphError):
-            check_jaconian(build_jaco(1))
+            check_jaconian(jaco_table(1), 1)
+        with pytest.raises(GraphError):
+            check_jaconian(jaco_table(5), 6)
 
-    def test_check_on_a_built_graph(self):
-        jg = build_jaco(5)
-        assert check_jaconian(jg) == jaconian_vertex(5) == 3
+    def test_check_on_a_table(self):
+        table = jaco_table(5)
+        assert table == ([0, 1, 1, 1, 2], [2, 3, 5, 7, 8])
+        assert check_jaconian(table, 5) == jaconian_vertex(5) == build_jaco(5).jaconian == 3
         # v_3 reaching only itself breaks i + d+(v_i) in {n - 1, n}
         with pytest.raises(RuntimeError, match="i \\+ d\\+"):
-            check_jaconian(jg._replace(out_deg=(1, 1, 0, 1, 0)))
+            check_jaconian((table[0], [2, 3, 3, 7, 8]), 5)
 
     def test_lemma_2_9_is_not_a_construction_check(self):
         # 2i - n < 0 is the lemma-2.9 claim's to report, not an invariant
-        assert check_jaconian(bent_jaco_builder(build_jaco)(10)) == 4
+        assert bent_jaconian_reader(check_jaconian)(jaco_table(10), 10) == 4
 
     def test_order_1_has_no_jaconian(self):
         assert build_jaco(1).jaconian is None

@@ -2,8 +2,9 @@
 no claim id outside the harness's catalog module, no settable cap
 outside the greedy counter, no n! indexing walk outside web
 enumeration, no direction-mask loop outside `graphs.orientations`, no
-use of the solver gadget outside `engine._BMatching`, no import inside a
-library function, and no `dataclasses` import.
+use of the solver gadget outside `engine._BMatching`, no read of the
+Jaco order cap outside `jaco.jaco_table`, no import inside a library
+function, and no `dataclasses` import.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -131,15 +132,15 @@ def mask_loops(tree: ast.Module, module: str) -> list[str]:
 GADGET_NAMES = {"_augment", "_free_copy_first", "SOLVER_GADGET_CAP"}
 
 
-def gadget_users(tree: ast.Module, module: str) -> list[str]:
+def gadget_users(tree: ast.Module, module: str, names=GADGET_NAMES) -> list[str]:
     """`module.name` of each top-level definition that reads a name in
-    GADGET_NAMES, which includes calling it, once each."""
+    `names`, which includes calling it, once each."""
     return list(dict.fromkeys(
         f"{module}.{getattr(top, 'name', '<module>')}"
         for top in tree.body
         for node in ast.walk(top)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        and _callee_name(node) in GADGET_NAMES
+        and _callee_name(node) in names
     ))
 
 
@@ -227,6 +228,15 @@ def test_only_the_b_matching_core_touches_the_gadget():
     # solve_exact and any later caller go through engine._BMatching
     users = [u for path in SRC_FILES for u in gadget_users(_parse(path), path.stem)]
     assert users == ["engine._BMatching"]
+
+
+def test_only_the_jaco_table_reads_the_order_cap():
+    # every Jaco order, built or only read, comes from jaco.jaco_table
+    users = [
+        u for path in SRC_FILES
+        for u in gadget_users(_parse(path), path.stem, {"JACO_ORDER_CAP"})
+    ]
+    assert users == ["jaco.jaco_table"]
 
 
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -234,11 +235,31 @@ class TestPlacements:
                 assert len(set(calls)) == solves
 
     def test_each_solve_belongs_to_its_web(self):
-        # K4's placement webs are distinct tournaments on one edge set
+        # K4's placement webs are distinct tournaments on one edge set; a
+        # web's solve comes with its first placement, its grog with each
         for base in (complete_graph(4), star_graph(5), cycle_graph(5), path_graph(5)):
-            for _, web, result in webs._placements(base):
-                replay = run_strategy(web, result.witness, require_exit=True)
-                assert replay.residual == result.grog, (base, web)
+            grogs = {}
+            for _, web, grog, result in webs._placements(base):
+                assert (result is None) == (web in grogs), (base, web)
+                if result is not None:
+                    replay = run_strategy(web, result.witness, require_exit=True)
+                    assert replay.residual == result.grog == grog, (base, web)
+                    grogs[web] = grog
+                assert grogs[web] == grog, (base, web)
+
+    def test_keeps_only_the_solves_at_the_minimum(self):
+        # a star on 1 plus the path 2-5: holding every placement web's
+        # SolveResult peaked at 0.85 MB (grog_number) and 0.72 MB
+        # (residual_distribution), one grog int per web at 0.33 / 0.15 MB
+        fan = make_ugraph(6, [(1, v) for v in range(2, 7)] + [(2, 3), (3, 4), (4, 5)])
+        for graph_level in (grog_number, residual_distribution):
+            tracemalloc.start()
+            try:
+                graph_level(fan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 * 1024, (graph_level.__name__, peak)
 
     def test_raises_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
