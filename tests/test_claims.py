@@ -1,9 +1,11 @@
+import difflib
 import hashlib
 import json
 import tracemalloc
 
 import pytest
 from conftest import bent_jaconian_reader, top_first_builder
+from golden.rewrite import SEEDS as GOLDEN_SEEDS, golden_path, report_text
 
 import grogweb.claims as claims
 import grogweb.engine as engine
@@ -320,18 +322,17 @@ class TestRegistry:
         assert mapped == {f for f in fields if f.startswith("n_max_")}
 
 
-# sha256 of what `grogweb verify --all --seed S --out F` writes to F
-REPORT_SHA256 = {
-    42: "814c09264dc1fc0684e79169a1c82969871ea7bb991b49a143733d5441951744",
-    1: "8787972712bb33e3044856329587d406ce6dae487fe1b2754314935798d92dc5",
-    20150206: "d010d6dd9bd00680bbea04b9cd89089c96d5d570e738cc96b5aa387c05beccfa",
-}
-
-
-@pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SEEDS))
 def test_report_bytes_are_pinned(seed):
-    text = json.dumps(run_all(HarnessConfig(seed=seed)), indent=2) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[seed]
+    # tests/golden holds what `grogweb verify --all --seed S --out F` writes
+    # to F; an announced report change rewrites it with tests/golden/rewrite.py
+    golden = golden_path(seed).read_text(encoding="utf-8")
+    text = report_text(seed)
+    diff = "".join(difflib.unified_diff(
+        golden.splitlines(keepends=True), text.splitlines(keepends=True),
+        f"golden/{golden_path(seed).name}", "run_all",
+    ))
+    assert text == golden, f"report differs from the golden file:\n{diff}"
 
 
 def test_random_runs_are_pinned(monkeypatch):
