@@ -16,8 +16,9 @@ check.  The path, cycle and thm-2.6 checks need no memo, since their
 graph-level values cost one exact solve per label placement (see
 `webs`).  A group runs once when any of its claims is requested.
 
-The lemma-2.1, lemma-2.2/2.3 and obs-1/obs-2 groups check seeded random
-maximal strategies.  Each is drawn and played once, by
+Two groups check seeded random maximal strategies: the terminal-state
+laws (lemma-2.1, lemma-2.2 and lemma-2.3, one pass over shared runs) and
+obs-1/obs-2.  Each strategy is drawn and played once, by
 `random_maximal_run`, and that play is the result the checks read; obs-2
 alone replays each run with `run_strategy` and compares the replay with
 the drawn play, so two code paths must agree.  All sampling is driven
@@ -89,12 +90,13 @@ CLAIM_INFO = {
 
 # (claim ids, runner(config, webs) -> their reports), in report order;
 # webs(base) is the deduplicated webs of base, enumerated once per base, which
-# _corpus extends with random webs.
+# _corpus extends with random webs.  The random runs of the terminal-state
+# laws come from seed + 2 and those of obs-1/obs-2 from seed + 3; def-2.2's
+# random webs come from seed + 4.  seed + 1 is left undrawn, so every other
+# stream keeps the number its pinned runs and reports were drawn with.
 _GROUPS = (
     (("thm-1.1",), lambda c, webs: [check_competition_closed_form(c.n_max_thm11)]),
-    (("lemma-2.1",), lambda c, webs: [
-        check_exit_lemma(_corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 1)]),
-    (("lemma-2.2", "lemma-2.3"), lambda c, webs: check_parity_and_arc_count(
+    (("lemma-2.1", "lemma-2.2", "lemma-2.3"), lambda c, webs: check_terminal_state_laws(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
     (("prop-2.4", "cor-2.5"), lambda c, webs: check_path_relations(c.n_max_path)),
     (("thm-2.6",), lambda c, webs: [check_orientation_divergence()]),
@@ -205,8 +207,10 @@ def corpus_webs(config: HarnessConfig) -> list[Web]:
 def _random_runs(corpus: list[Web], runs: int, seed: int):
     """Yield (web, strategy, result) for `runs` random maximal strategies per web.
 
-    One rng drawn from `seed` serves every run, web by web in corpus order.
-    The result is the draw's own play, so no run is replayed here.
+    One rng drawn from `seed` serves every run, web by web in corpus order;
+    a web without arcs draws nothing from it.  The result is the draw's own
+    play, so no run is replayed here, and every claim of a group reads the
+    same pass.
     """
     rng = random.Random(seed)
     for web in corpus:
@@ -218,33 +222,25 @@ def _random_runs(corpus: list[Web], runs: int, seed: int):
 # individual checks
 # ---------------------------------------------------------------------------
 
-def check_exit_lemma(corpus: list[Web], runs: int, seed: int) -> ClaimReport:
-    """lemma-2.1: terminal states mix zero and positive populations (n >= 2)."""
-    playable = [web for web in corpus if web.n >= 2]
-    failures = []
-    for web, strategy, result in _random_runs(playable, runs, seed):
+def check_terminal_state_laws(
+    corpus: list[Web], runs: int, seed: int
+) -> tuple[ClaimReport, ClaimReport, ClaimReport]:
+    """lemma-2.1, lemma-2.2 and lemma-2.3 over shared random maximal runs.
+
+    lemma-2.1 (a zero and a positive population) is checked on the runs of
+    webs with n >= 2 only; a 1-vertex web draws nothing from the rng.
+    """
+    exit_failures = []
+    parity_failures = []
+    count_failures = []
+    for web, strategy, result in _random_runs(corpus, runs, seed):
         pops = result.final_state.pop
-        if not (any(p == 0 for p in pops) and any(p > 0 for p in pops)):
-            failures.append({
+        if web.n >= 2 and not (0 in pops and any(p > 0 for p in pops)):
+            exit_failures.append({
                 "web": _web_json(web),
                 "strategy": strategy_to_json(strategy),
                 "final_population": list(pops),
             })
-    values = {
-        "webs": len(corpus),
-        "runs_per_web": runs,
-        "skipped_webs": len(corpus) - len(playable),
-    }
-    return _report("lemma-2.1", len(playable) * runs, failures, values)
-
-
-def check_parity_and_arc_count(
-    corpus: list[Web], runs: int, seed: int
-) -> tuple[ClaimReport, ClaimReport]:
-    """lemma-2.2 and lemma-2.3 over shared random maximal runs."""
-    parity_failures = []
-    count_failures = []
-    for web, strategy, result in _random_runs(corpus, runs, seed):
         total = web.total_population
         if result.residual % 2 != total % 2:
             parity_failures.append({
@@ -261,11 +257,13 @@ def check_parity_and_arc_count(
                 "residual": result.residual,
                 "initial_total": total,
             })
-    instances = len(corpus) * runs
+    playable = sum(web.n >= 2 for web in corpus)
     values = {"webs": len(corpus), "runs_per_web": runs}
     return (
-        _report("lemma-2.2", instances, parity_failures, values),
-        _report("lemma-2.3", instances, count_failures, values),
+        _report("lemma-2.1", playable * runs, exit_failures,
+                {**values, "skipped_webs": len(corpus) - playable}),
+        _report("lemma-2.2", len(corpus) * runs, parity_failures, values),
+        _report("lemma-2.3", len(corpus) * runs, count_failures, values),
     )
 
 
@@ -403,14 +401,15 @@ def check_jaco_recursion(
 
     Every order is read off one table of the top order, max(n_max,
     lemma29_n_max), so an order past the cap raises before any other
-    work.  J_n is built and solved only for n <= n_max, from n_max down
-    before any order is read, so the solver's cap raises on the top order.
+    work.  J_n is built and solved only for n <= n_max, from 2 up before
+    any order is read, so the solver's cap raises on the first order it
+    refuses (J_91) and no larger order is built.
     """
     if n_max < 2:
         raise GraphError(f"Jaco recursion needs n_max >= 2, got {n_max}")
     top = max(n_max, lemma29_n_max)
     table = jaco_table(top)
-    g = {n: solve_exact(Web(build_jaco(n).digraph)).grog for n in range(n_max, 1, -1)}
+    g = {n: solve_exact(Web(build_jaco(n).digraph)).grog for n in range(2, n_max + 1)}
     jaconian = {n: check_jaconian(table, n) for n in range(2, top + 1)}
     lemma_orders = range(2, lemma29_n_max + 1)
     lemma = _report("lemma-2.9", lemma29_n_max - 1, [

@@ -14,8 +14,7 @@ from conftest import run_cli
 
 from grogweb.claims import (
     HarnessConfig,
-    check_exit_lemma,
-    check_parity_and_arc_count,
+    check_terminal_state_laws,
     corpus_webs,
     run_claims,
 )
@@ -108,11 +107,8 @@ def test_criterion_5_run_properties():
         config = HarnessConfig()
         corpus = corpus_webs(config)
         assert all(w.n <= 7 for w in corpus)
-        exit_report = check_exit_lemma(corpus, config.runs_per_web, config.seed + 1)
-        parity, count = check_parity_and_arc_count(
-            corpus, config.runs_per_web, config.seed + 2
-        )
-        for report in (exit_report, parity, count):
+        reports = check_terminal_state_laws(corpus, config.runs_per_web, config.seed + 2)
+        for report in reports:
             assert report.instances >= 1000
             assert report.status == "pass", report.failures[:1]
 

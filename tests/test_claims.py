@@ -1,6 +1,7 @@
 import difflib
 import hashlib
 import json
+import resource
 import tracemalloc
 
 import pytest
@@ -16,12 +17,11 @@ from grogweb.claims import (
     CLAIM_ORDER,
     HarnessConfig,
     check_cycle_relations,
-    check_exit_lemma,
     check_greedy_equivalence,
     check_jaco_recursion,
     check_orientation_divergence,
-    check_parity_and_arc_count,
     check_path_relations,
+    check_terminal_state_laws,
     check_web_count,
     corpus_webs,
     run_all,
@@ -44,26 +44,40 @@ def p3_webs():
 
 class TestLemmaChecks:
     def test_exit_lemma_on_p3(self):
-        report = check_exit_lemma(p3_webs(), runs=50, seed=1)
+        report, _, _ = check_terminal_state_laws(p3_webs(), runs=50, seed=1)
         assert report.status == "pass"
         assert report.instances == 600
 
     def test_parity_and_arc_count(self):
-        parity, count = check_parity_and_arc_count(p3_webs(), runs=20, seed=2)
+        _, parity, count = check_terminal_state_laws(p3_webs(), runs=20, seed=2)
         assert parity.status == "pass" and count.status == "pass"
         assert parity.claim_id == "lemma-2.2" and count.claim_id == "lemma-2.3"
 
     def test_one_vertex_web_is_skipped(self):
-        alone = check_exit_lemma(p3_webs(), runs=5, seed=3)
-        report = check_exit_lemma([Web(make_digraph(1, [])), *p3_webs()], runs=5, seed=3)
+        alone, _, _ = check_terminal_state_laws(p3_webs(), runs=5, seed=3)
+        report, _, _ = check_terminal_state_laws(
+            [Web(make_digraph(1, [])), *p3_webs()], runs=5, seed=3)
         assert report.values["skipped_webs"] == 1
         assert report.instances == alone.instances == 60
         assert report.failures == alone.failures
         assert report.status == "pass"
 
     def test_single_arc_web_passes_exit_lemma(self):
-        report = check_exit_lemma([Web(make_digraph(2, [(1, 2)]))], runs=5, seed=3)
+        report, _, _ = check_terminal_state_laws([Web(make_digraph(2, [(1, 2)]))], runs=5, seed=3)
         assert report.status == "pass"
+
+    def test_the_three_laws_share_one_draw_per_run(self, monkeypatch):
+        drawn = []
+
+        def counting(web, rng):
+            drawn.append(web)
+            return engine.random_maximal_run(web, rng)
+
+        monkeypatch.setattr(claims, "random_maximal_run", counting)
+        report = run_claims(["lemma-2.1", "lemma-2.2", "lemma-2.3"], HarnessConfig())
+        assert [c["status"] for c in report["claims"]] == ["pass"] * 3
+        # 194 corpus webs x 10 runs, once for all three claims
+        assert len(drawn) == 1940
 
 
 class TestPathAndCycle:
@@ -147,7 +161,7 @@ class TestJacoClaims:
         with pytest.raises(GraphError):
             check_jaco_recursion(1, 40)
 
-    def test_top_order_is_solved_first(self, monkeypatch):
+    def test_solves_up_to_the_first_refused_order(self, monkeypatch):
         solved = []
 
         def recording(web):
@@ -155,9 +169,15 @@ class TestJacoClaims:
             return engine.solve_exact(web)
 
         monkeypatch.setattr(claims, "solve_exact", recording)
-        with pytest.raises(CapExceeded):
-            check_jaco_recursion(95, 40)
-        assert solved == [95]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        with pytest.raises(CapExceeded, match="132814 copy edges"):
+            check_jaco_recursion(jaco.JACO_ORDER_CAP, 40)
+        grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        # J_91 is the first order the solver refuses, so no larger order is
+        # built: J_10000's 19,099,030 arcs would raise the peak RSS by about
+        # 1.4 GB, while J_2..J_91 fit in a few MB (ru_maxrss is in KB on Linux)
+        assert solved == list(range(2, 92))
+        assert grown_kb < 64 * 1024, f"peak RSS grew by {grown_kb} KB"
 
     @pytest.mark.parametrize("n_max, lemma29_n_max, top", [(7, 40, 40), (7, 5, 7)])
     def test_one_table_of_the_top_order(self, monkeypatch, n_max, lemma29_n_max, top):
@@ -167,7 +187,7 @@ class TestJacoClaims:
         check_jaco_recursion(n_max, lemma29_n_max)
         # every order is read off one table; only the solved orders are built
         assert tables == [top]
-        assert built == list(range(n_max, 1, -1))
+        assert built == list(range(2, n_max + 1))
 
     def test_holds_no_arcs_of_the_lemma_orders(self):
         # holding J_500(1)'s 47,782 arc tuples peaks at 6.5 MB; its table is 1,000 ints
@@ -200,7 +220,7 @@ class TestJacoClaims:
         monkeypatch.setattr(claims, "build_jaco", lambda n: built.append(n) or jaco.build_jaco(n))
         monkeypatch.setattr(claims, "solve_exact", recording)
         lemma, prop, _ = check_jaco_recursion(4, lemma29_n_max=9)
-        assert built == solved == [4, 3, 2]
+        assert built == solved == [2, 3, 4]
         assert (lemma.instances, lemma.values["n_range"]) == (8, [2, 9])
         assert prop.values["jaconian"] == {"2": 1, "3": 2}
 
@@ -294,10 +314,26 @@ class TestHarnessSanity:
         # every move, in random_maximal_run, run_strategy and apply_batch, goes
         # through the one in-place step
         monkeypatch.setattr(engine, "_play", corrupted)
-        parity, count = check_parity_and_arc_count(p3_webs(), runs=3, seed=4)
+        _, parity, count = check_terminal_state_laws(p3_webs(), runs=3, seed=4)
         assert parity.status == "fail"
         assert count.status == "fail"
         assert parity.failures and "residual" in parity.failures[0]
+
+    def test_exit_lemma_fault_is_caught(self, monkeypatch):
+        """An engine whose population update never empties a vertex must
+        trip lemma-2.1 through the runs it shares with lemma-2.2/2.3."""
+        real = engine._play
+
+        def never_empties(pop, remaining, batch):
+            consumed = real(pop, remaining, batch)
+            for v in (batch.predator, *batch.prey):
+                pop[v - 1] = max(pop[v - 1], 1)
+            return consumed
+
+        monkeypatch.setattr(engine, "_play", never_empties)
+        exit_report, _, _ = check_terminal_state_laws(p3_webs(), runs=3, seed=4)
+        assert exit_report.status == "fail"
+        assert exit_report.failures and 0 not in exit_report.failures[0]["final_population"]
 
 
 class TestRegistry:
@@ -337,7 +373,7 @@ def test_report_bytes_are_pinned(seed):
 
 def test_random_runs_are_pinned(monkeypatch):
     # a passing report holds only counts, so pin the strategies it drew:
-    # every (web arcs, strategy) drawn in the three random-run groups, then
+    # every (web arcs, strategy) drawn in the two random-run groups, then
     # the obs-2 replay of each obs-1 run
     runs = []
 
@@ -356,9 +392,9 @@ def test_random_runs_are_pinned(monkeypatch):
     monkeypatch.setattr(claims, "random_maximal_run", drawing)
     monkeypatch.setattr(claims, "run_strategy", replaying)
     run_claims(["lemma-2.1", "lemma-2.2", "obs-1"], HarnessConfig(seed=42))
-    assert len(runs) == 7760
+    assert len(runs) == 5820
     digest = hashlib.sha256(json.dumps(runs).encode("utf-8")).hexdigest()
-    assert digest == "55ddec6878159fabf0dba4b187e015722d9906287ada46982cef2ae9f0923efb"
+    assert digest == "8063bf3d36d4a34e30828d5109f598e1100dfc4db255db552249e8f43e4b2d10"
 
 
 class TestRunAll:
@@ -383,8 +419,8 @@ class TestRunAll:
 
         monkeypatch.setattr(claims, "run_strategy", counting)
         run_all(HarnessConfig())
-        # only obs-2 replays: 194 corpus webs x 10 runs; the lemma-2.1,
-        # lemma-2.2/2.3 and obs-1 checks read the draw's own play
+        # only obs-2 replays: 194 corpus webs x 10 runs; the lemma-2.1/2.2/2.3
+        # and obs-1 checks read the draw's own play
         assert len(calls) == 1940
 
     def test_full_report(self):
