@@ -40,16 +40,17 @@ bind, so the legal arcs and the populations of the tight vertices still
 meeting one decide the rest of the game.
 
 A move is checked and charged by one in-place step, `_play`, on a
-mutable population list: `apply_batch` wraps it to return a new frozen
-`GrogState`, while `run_strategy` and `random_maximal_run` play a whole
-strategy on one list and one arc set and build the final `GrogState` and
-`RunResult` only at the end, in one shared helper.  `random_maximal_run`
-draws each batch from the state of its own play, so a drawn strategy
-comes with its result and needs no replay.  `legal_predations`
-subtracts, from the remaining arcs, the arcs at every vertex of
-population 0, read off a per-web incidence table built once per `Web`,
-and returns what is left as a tuple in `Digraph.arcs` order, so a
-caller's tie-breaks need no sort.
+mutable population list, which returns the arcs it consumed:
+`apply_batch` wraps it to return a new frozen `GrogState`, while
+`run_strategy` and `random_maximal_run` play a whole strategy on one
+list and one arc set, collect the consumed arcs, and build the final
+`GrogState` and `RunResult` from them only at the end, in one shared
+helper.  `random_maximal_run` draws each batch from the state of its own
+play, so a drawn strategy comes with its result and needs no replay.
+`legal_predations` subtracts, from the remaining arcs, the arcs at every
+vertex of population 0, read off a per-web incidence table built once
+per `Web`, and returns what is left as a tuple in `Digraph.arcs` order,
+so a caller's tie-breaks need no sort.
 
 The exact solver's cost is the memory of the core's matching gadget,
 bounded by SOLVER_GADGET_CAP, which no caller can move.  The greedy
@@ -110,7 +111,8 @@ class Web(_WebFields):
 
     @property
     def total_population(self) -> int:
-        return self.n * (self.n + 1) // 2
+        n = self.digraph.n
+        return n * (n + 1) // 2
 
     @cached_property
     def incident_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -204,19 +206,19 @@ def legal_predations(state: GrogState) -> tuple[tuple[int, int], ...]:
     return tuple(filter(legal.__contains__, state.web.digraph.arcs))
 
 
-def _play(pop: list[int], remaining, batch: PredationBatch) -> list[tuple[int, int]]:
-    """Check one batch against `pop` and `remaining`, charge `pop` in place.
+def _play(pop: list[int], remaining, pred: int, prey: list[int]) -> list[tuple[int, int]]:
+    """Check the move of `pred` on `prey`, an ascending list of distinct
+    vertices, against `pop` and `remaining`, and charge `pop` in place.
 
     Raises IllegalBatchError naming the first violated precondition, in
     this order: an arc that is not remaining, a predator short of
     population, or exhausted prey; `pop` is untouched then.  Returns the
-    consumed arcs, which the caller removes from its remaining arcs.
+    consumed arcs, ascending, which the caller removes from `remaining`.
     """
-    pred = batch.predator
-    prey = sorted(batch.prey)
-    for p in prey:
-        if (pred, p) not in remaining:
-            raise IllegalBatchError(f"arc ({pred}, {p}) is not a remaining arc")
+    arcs = [(pred, p) for p in prey]
+    for arc in arcs:
+        if arc not in remaining:
+            raise IllegalBatchError(f"arc ({pred}, {arc[1]}) is not a remaining arc")
     if pop[pred - 1] < len(prey):
         raise IllegalBatchError(
             f"predator v_{pred} has population {pop[pred - 1]}, "
@@ -228,7 +230,7 @@ def _play(pop: list[int], remaining, batch: PredationBatch) -> list[tuple[int, i
     pop[pred - 1] -= len(prey)
     for p in prey:
         pop[p - 1] -= 1
-    return [(pred, p) for p in prey]
+    return arcs
 
 
 def apply_batch(state: GrogState, batch: PredationBatch) -> GrogState:
@@ -239,19 +241,15 @@ def apply_batch(state: GrogState, batch: PredationBatch) -> GrogState:
     prey.
     """
     pop = list(state.pop)
-    consumed = _play(pop, state.remaining, batch)
+    consumed = _play(pop, state.remaining, batch.predator, sorted(batch.prey))
     return GrogState(state.web, state.remaining.difference(consumed), tuple(pop))
 
 
-def _result(web: Web, pop: list[int], remaining: set[tuple[int, int]]) -> RunResult:
-    """The RunResult of a play that left `pop` and `remaining`."""
-    used = frozenset(web.digraph.arcs).difference(remaining)
-    return RunResult(
-        final_state=GrogState(web, frozenset(remaining), tuple(pop)),
-        residual=sum(pop),
-        predation_count=len(used),
-        used_arcs=used,
-    )
+def _result(web: Web, pop: list[int], remaining: set[tuple[int, int]],
+            used: list[tuple[int, int]]) -> RunResult:
+    """The RunResult of a play that consumed `used`, leaving `pop` and `remaining`."""
+    state = GrogState(web, frozenset(remaining), tuple(pop))
+    return RunResult(state, sum(pop), len(used), frozenset(used))
 
 
 def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> RunResult:
@@ -262,12 +260,15 @@ def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> Ru
     """
     pop = list(web.populations)
     remaining = set(web.digraph.arcs)
+    used: list[tuple[int, int]] = []
     for step, batch in enumerate(strategy):
         try:
-            remaining.difference_update(_play(pop, remaining, batch))
+            consumed = _play(pop, remaining, batch.predator, sorted(batch.prey))
         except IllegalBatchError as exc:
             raise IllegalBatchError(f"step {step}: {exc}", step=step) from None
-    result = _result(web, pop, remaining)
+        remaining.difference_update(consumed)
+        used += consumed
+    result = _result(web, pop, remaining, used)
     if require_exit:
         leftover = legal_predations(result.final_state)
         if leftover:
@@ -283,27 +284,40 @@ def random_maximal_run(web: Web, rng: random.Random) -> tuple[Strategy, RunResul
 
     Each step picks a predator uniformly among the tails of the legal
     arcs, then a uniform batch size up to what it may take, then that
-    many of its legal prey, and plays the batch through the same checks
-    as `run_strategy`; the result is the one `run_strategy(web, strategy,
-    require_exit=True)` returns.  Deterministic given the rng.  Legal
-    arcs are kept in `Digraph.arcs` order, which is sorted and the order
-    of `legal_predations`, and an arc that stops being legal never
-    becomes legal again, so each step filters the previous step's list.
+    many of its legal prey, sorted, and plays the batch through the same
+    checks as `run_strategy`; the result is the one `run_strategy(web,
+    strategy, require_exit=True)` returns.  Deterministic given the rng.
+    Legal arcs are kept in `Digraph.arcs` order, which is sorted and the
+    order of `legal_predations`, so the tails come in one pass; an arc
+    that stops being legal never becomes legal again, so each step
+    filters the previous step's list.
     """
-    pop = list(web.populations)
-    remaining = set(web.digraph.arcs)
-    legal = list(web.digraph.arcs)
+    pop = list(range(1, web.digraph.n + 1))
+    legal = web.digraph.arcs
+    remaining = set(legal)
+    used: list[tuple[int, int]] = []
     batches: list[PredationBatch] = []
     choice, randint, sample = rng.choice, rng.randint, rng.sample
     while True:
         legal = [arc for arc in legal if arc in remaining and pop[arc[0] - 1] and pop[arc[1] - 1]]
         if not legal:
-            return tuple(batches), _result(web, pop, remaining)
-        pred = choice(list(dict.fromkeys([t for t, _ in legal])))
+            return tuple(batches), _result(web, pop, remaining, used)
+        tails = []
+        last = 0
+        for t, _ in legal:
+            if t != last:
+                tails.append(t)
+                last = t
+        pred = choice(tails)
         mine = [h for t, h in legal if t == pred]
-        batch = PredationBatch(pred, sample(mine, randint(1, min(pop[pred - 1], len(mine)))))
-        remaining.difference_update(_play(pop, remaining, batch))
-        batches.append(batch)
+        prey = sample(mine, randint(1, min(pop[pred - 1], len(mine))))
+        prey.sort()
+        consumed = _play(pop, remaining, pred, prey)
+        remaining.difference_update(consumed)
+        used += consumed
+        # randint draws at least 1, so prey is not empty, and _play has
+        # checked the move: the batch skips PredationBatch's own check
+        batches.append(tuple.__new__(PredationBatch, (pred, frozenset(prey))))
 
 
 def _blossom_base(base, parent, mate, a: int, b: int) -> int:

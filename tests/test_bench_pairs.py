@@ -1,0 +1,54 @@
+"""The summary of tools/bench_pairs.py; no benchmark run is spawned here."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "items_per_s", "better": "higher"}]
+
+
+def result(wall, items, correct=True):
+    return {"correct": correct, "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                            "items_per_s": {"value": items, "unit": "1/s"}}}
+
+
+def test_summary_medians_quartiles_and_wins():
+    walls = [(0.30, 0.27), (0.32, 0.28), (0.29, 0.29), (0.35, 0.36), (0.31, 0.26)]
+    pairs = [{"parent": result(p, 1 / p), "change": result(c, 1 / c, correct=i != 1)}
+             for i, (p, c) in enumerate(walls)]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    wall = summary["wall_s"]
+    # inclusive quartiles of 0.29, 0.30, 0.31, 0.32, 0.35 are its 2nd and 4th values
+    assert wall["parent"] == pytest.approx({"median": 0.31, "q1": 0.30, "q3": 0.32})
+    assert wall["change"] == pytest.approx({"median": 0.28, "q1": 0.27, "q3": 0.29})
+    assert wall["change_over_parent"] == pytest.approx(0.28 / 0.31)
+    # the tie at 0.29 counts for neither side, 0.36 against 0.35 for the parent
+    assert wall["change_better_pairs"] == 3
+    assert wall["pairs"] == 5
+    assert wall["gap_exceeds_parent_iqr"] is True
+    # higher is better: the same pairs won, read the other way round
+    assert summary["items_per_s"]["change_better_pairs"] == 3
+    assert summary["failed_runs"] == 1
+
+
+def test_summary_of_one_pair_and_a_spread_wider_than_the_gap():
+    one = bench_pairs.summarize([{"parent": result(0.5, 2), "change": result(0.4, 2.5)}], END_TO_END)
+    assert one["wall_s"]["parent"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+    assert one["wall_s"]["change_better_pairs"] == 1
+    walls = [(0.2, 0.25), (0.4, 0.35), (0.3, 0.29)]
+    pairs = [{"parent": result(p, 1 / p), "change": result(c, 1 / c)} for p, c in walls]
+    assert bench_pairs.summarize(pairs, END_TO_END)["wall_s"]["gap_exceeds_parent_iqr"] is False
+
+
+def test_imports_nothing_of_the_package():
+    tree = ast.parse(TOOL.read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert names and not [n for n in names if n and n.split(".")[0] == "grogweb"]

@@ -306,9 +306,9 @@ class TestHarnessSanity:
         must trip the parity and arc-count claims with counterexamples."""
         real = engine._play
 
-        def corrupted(pop, remaining, batch):
-            consumed = real(pop, remaining, batch)
-            pop[batch.predator - 1] += 1
+        def corrupted(pop, remaining, pred, prey):
+            consumed = real(pop, remaining, pred, prey)
+            pop[pred - 1] += 1
             return consumed
 
         # every move, in random_maximal_run, run_strategy and apply_batch, goes
@@ -324,9 +324,9 @@ class TestHarnessSanity:
         trip lemma-2.1 through the runs it shares with lemma-2.2/2.3."""
         real = engine._play
 
-        def never_empties(pop, remaining, batch):
-            consumed = real(pop, remaining, batch)
-            for v in (batch.predator, *batch.prey):
+        def never_empties(pop, remaining, pred, prey):
+            consumed = real(pop, remaining, pred, prey)
+            for v in (pred, *prey):
                 pop[v - 1] = max(pop[v - 1], 1)
             return consumed
 

@@ -378,19 +378,27 @@ def random_webs(draw, max_n=5, max_extra=3):
 @settings(max_examples=80, deadline=None)
 def test_run_invariants(w, seed):
     """Population bookkeeping, parity, and the arc-count identity on
-    random maximal runs."""
+    random maximal runs, and on run_strategy over a proper prefix of one."""
     rng = random.Random(seed)
-    r = random_maximal_run(w, rng)[1]
-    total = w.total_population
-    # final population is label minus consumed incident arcs: order never matters
-    for v in range(1, w.n + 1):
-        incident = sum(1 for t, h in r.used_arcs if v in (t, h))
-        assert r.final_state.pop[v - 1] == v - incident
-        assert r.final_state.pop[v - 1] >= 0
-    assert r.residual % 2 == total % 2
-    assert 2 * r.predation_count == total - r.residual
-    assert r.predation_count <= len(w.digraph.arcs)
+    strategy, r = random_maximal_run(w, rng)
     assert not legal_predations(r.final_state)
+    # the first batch left out is still legal, so the prefix's play is not over
+    prefix = run_strategy(w, strategy[: len(strategy) // 2])
+    assert legal_predations(prefix.final_state)
+    total = w.total_population
+    for res in (r, prefix):
+        # consumed and remaining arcs split the web's arcs, one predation each
+        assert res.used_arcs.isdisjoint(res.final_state.remaining)
+        assert res.used_arcs | res.final_state.remaining == set(w.digraph.arcs)
+        assert res.predation_count == len(res.used_arcs)
+        # final population is label minus consumed incident arcs: order never matters
+        for v in range(1, w.n + 1):
+            incident = sum(1 for t, h in res.used_arcs if v in (t, h))
+            assert res.final_state.pop[v - 1] == v - incident
+            assert res.final_state.pop[v - 1] >= 0
+        assert res.residual % 2 == total % 2
+        assert 2 * res.predation_count == total - res.residual
+        assert res.predation_count <= len(w.digraph.arcs)
 
 
 @given(random_webs(max_n=7, max_extra=8), st.integers(0, 10_000))

@@ -28,6 +28,9 @@ from grogweb.webs import (
     web_count_formula,
 )
 
+# a star on 1 plus the path 2-5: 360 placements
+FAN = make_ugraph(6, [(1, v) for v in range(2, 7)] + [(2, 3), (3, 4), (4, 5)])
+
 
 @st.composite
 def connected_bases(draw, max_n=5, max_edges=6):
@@ -237,10 +240,13 @@ class TestPlacements:
     def test_each_solve_belongs_to_its_web(self):
         # K4's placement webs are distinct tournaments on one edge set; a
         # web's solve comes with its first placement, its grog with each
-        for base in (complete_graph(4), star_graph(5), cycle_graph(5), path_graph(5)):
+        for base in (complete_graph(4), star_graph(5), cycle_graph(5), path_graph(5), FAN):
             grogs = {}
             for _, web, grog, result in webs._placements(base):
                 assert (result is None) == (web in grogs), (base, web)
+                # the solve keeps nothing on the web: every placement web
+                # kept would otherwise carry a __dict__ of its own
+                assert vars(web) == {}, (base, web)
                 if result is not None:
                     replay = run_strategy(web, result.witness, require_exit=True)
                     assert replay.residual == result.grog == grog, (base, web)
@@ -251,11 +257,10 @@ class TestPlacements:
         # a star on 1 plus the path 2-5: holding every placement web's
         # SolveResult peaked at 0.85 MB (grog_number) and 0.72 MB
         # (residual_distribution), one grog int per web at 0.33 / 0.15 MB
-        fan = make_ugraph(6, [(1, v) for v in range(2, 7)] + [(2, 3), (3, 4), (4, 5)])
         for graph_level in (grog_number, residual_distribution):
             tracemalloc.start()
             try:
-                graph_level(fan)
+                graph_level(FAN)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
