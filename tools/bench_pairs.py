@@ -19,7 +19,7 @@ speed factor of its summary line) and a summary per end-to-end metric:
 each side's median and quartiles (`statistics.quantiles(n=4,
 method="inclusive")`), the change/parent ratio of the medians, and the
 pairs the change won (ties count for neither).  The file is rewritten after
-every pair, so an interrupted session keeps the pairs it finished.
+every pair, so an interrupted run keeps the pairs it finished.
 
 Standard library only; it imports nothing of the benchmarked package.
 """
