@@ -43,11 +43,11 @@ from .engine import (
     solve_exact,
     strategy_to_json,
 )
-from .graphs import CapExceeded, Digraph, GraphError, UGraph, digraph_to_json
+from .graphs import Digraph, GraphError, UGraph, digraph_to_json
 from .jaco import build_jaco, check_jaconian, jaco_table, max_degree_vertex
 from .webs import (
-    WEB_N_CAP,
     automorphism_count,
+    check_web_order,
     complete_graph,
     cycle_graph,
     enumerate_webs,
@@ -268,7 +268,7 @@ def check_terminal_state_laws(
     )
 
 
-def check_greedy_equivalence(corpus: list[Web], arc_cap: int = GREEDY_ARC_CAP) -> ClaimReport:
+def check_greedy_equivalence(corpus: list[Web], arc_cap: int) -> ClaimReport:
     """def-2.2-equivalence: greedy minimum equals the exact grog number."""
     failures = []
     for web in corpus:
@@ -284,29 +284,22 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int = GREEDY_ARC_CAP) -
     return _report("def-2.2-equivalence", len(corpus), failures, values)
 
 
-def _family_grogs(family, n_max: int) -> dict[int, int]:
-    """g(family(n)) for n = 3..n_max: the least grog number of any web."""
-    return {n: grog_number(family(n)).grog for n in range(3, n_max + 1)}
+def _family_grogs(what: str, family, n_max: int) -> dict[int, int]:
+    """g(family(n)) for n = 3..n_max: the least grog number of any web.
 
-
-def _check_family_range(what: str, n_max: int) -> None:
-    """Reject n_max outside 3..WEB_N_CAP before any base is solved.
-
-    The cap bounds the label placements that `grog_number` walks.
+    Refuses n_max below 3 or past the web order cap before any base is
+    solved; the cap bounds the label placements that `grog_number` walks.
     """
     if n_max < 3:
         raise GraphError(f"{what} needs n_max >= 3, got {n_max}")
-    if n_max > WEB_N_CAP:
-        raise CapExceeded(
-            f"{what} capped at n_max = {WEB_N_CAP} for enumeration cost, got {n_max}"
-        )
+    check_web_order(n_max)
+    return {n: grog_number(family(n)).grog for n in range(3, n_max + 1)}
 
 
 def check_path_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     """cor-2.5's g(P_{n+1}) = g(P_n) + (n - 1) and prop-2.4's (report-only)
     per-web grog histograms and extension deltas, from one brute-forced g(P_n)."""
-    _check_family_range("path recursion", n_max)
-    g = _family_grogs(path_graph, n_max)
+    g = _family_grogs("path recursion", path_graph, n_max)
     failures = []
     for n in range(3, n_max):
         if g[n + 1] != g[n] + (n - 1):
@@ -336,9 +329,8 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     (already g(C_3) = 2 = g(P_3) rather than g(P_3) - 2), so the
     observed sequences are recorded without assertion.
     """
-    _check_family_range("cycle relations", n_max)
-    gc = _family_grogs(cycle_graph, n_max)
-    gp = _family_grogs(path_graph, n_max)
+    gc = _family_grogs("cycle relations", cycle_graph, n_max)
+    gp = _family_grogs("cycle relations", path_graph, n_max)
     g_cycle = {str(n): gc[n] for n in sorted(gc)}
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}

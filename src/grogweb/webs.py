@@ -166,8 +166,7 @@ def automorphism_count(g: UGraph) -> int:
     search lists every automorphism: K_8 and the edgeless graph on 8
     vertices need not walk their 40,320.
     """
-    if g.n > WEB_N_CAP:
-        raise CapExceeded(f"n={g.n} exceeds the automorphism cap {WEB_N_CAP}")
+    check_web_order(g.n)
     adjacent: list[set[int]] = [set() for _ in range(g.n + 1)]
     for u, v in g.edges:
         adjacent[u].add(v)

@@ -411,3 +411,18 @@ def top_first_builder(build, top: int):
         return build(n)
 
     return guarded
+
+
+def closed_form_without(closed_form, n: int, edge: tuple[int, int]):
+    """`closed_form` (competition._closed_form) with `edge` dropped from the
+    competition graph of J_n, so Theorem 1.1 fails at order n only; the
+    isolated vertices are left as they are."""
+
+    def bent(jg):
+        comp = closed_form(jg)
+        if jg.n != n:
+            return comp
+        edges = tuple(e for e in comp.ugraph.edges if e != edge)
+        return comp._replace(ugraph=comp.ugraph._replace(edges=edges))
+
+    return bent

@@ -5,10 +5,11 @@ import resource
 import tracemalloc
 
 import pytest
-from conftest import bent_jaconian_reader, top_first_builder
+from conftest import bent_jaconian_reader, closed_form_without, top_first_builder
 from golden.rewrite import SEEDS as GOLDEN_SEEDS, golden_path, report_text
 
 import grogweb.claims as claims
+import grogweb.competition as competition
 import grogweb.engine as engine
 import grogweb.jaco as jaco
 import grogweb.webs as webs
@@ -28,8 +29,8 @@ from grogweb.claims import (
     run_claims,
 )
 from grogweb.engine import IllegalBatchError, Web, strategy_to_json
-from grogweb.graphs import CapExceeded, GraphError, make_digraph
-from grogweb.webs import WEB_EDGE_CAP, WEB_N_CAP, enumerate_webs, path_graph
+from grogweb.graphs import CapExceeded, GraphError, digraph_to_json, make_digraph
+from grogweb.webs import WEB_EDGE_CAP, WEB_N_CAP, cycle_graph, enumerate_webs, path_graph
 
 SMALL = HarnessConfig(runs_per_web=3, random_webs=5, random_greedy_webs=10)
 
@@ -40,6 +41,15 @@ def dedup_webs(base):
 
 def p3_webs():
     return dedup_webs(path_graph(3))
+
+
+def failed_claims(claim_ids, config=SMALL):
+    """The claims' reports by id, from a run asserted to fail overall and
+    to serialise as JSON."""
+    report = run_claims(claim_ids, config)
+    assert report["status"] == "fail"
+    json.dumps(report)
+    return {c["id"]: c for c in report["claims"]}
 
 
 class TestLemmaChecks:
@@ -274,7 +284,7 @@ class TestDivergence:
 
 class TestGreedyEquivalence:
     def test_named_corpus(self):
-        report = check_greedy_equivalence(corpus_webs(SMALL))
+        report = check_greedy_equivalence(corpus_webs(SMALL), SMALL.arc_cap)
         assert report.status == "pass"
 
     @pytest.mark.parametrize("seed", [42, 1, 20150206])
@@ -334,6 +344,113 @@ class TestHarnessSanity:
         exit_report, _, _ = check_terminal_state_laws(p3_webs(), runs=3, seed=4)
         assert exit_report.status == "fail"
         assert exit_report.failures and 0 not in exit_report.failures[0]["final_population"]
+
+    # Each test below bends one input of an assert claim and checks that the
+    # claim fails with the exact counterexample, and the run with it.
+
+    def test_closed_form_fault_is_caught(self, monkeypatch):
+        bent = closed_form_without(competition._closed_form, 9, (3, 4))
+        monkeypatch.setattr(competition, "_closed_form", bent)
+        report = failed_claims(["thm-1.1"], SMALL._replace(n_max_thm11=12))["thm-1.1"]
+        assert report["status"] == "fail"
+        assert report["failures"] == [{
+            "n": 9, "equal": False, "missing": [(3, 4)], "extra": [],
+            "isolated_closed": [1, 2, 9], "isolated_direct": [1, 2, 9],
+        }]
+
+    def test_path_recursion_fault_is_caught(self, monkeypatch):
+        def bent(g):
+            result = webs.grog_number(g)
+            return result._replace(grog=8) if g == path_graph(5) else result
+
+        monkeypatch.setattr(claims, "grog_number", bent)
+        report = failed_claims(["cor-2.5"])["cor-2.5"]
+        assert report["status"] == "fail"
+        assert report["failures"] == [
+            {"n": 4, "g_n": 4, "g_n_plus_1": 8, "expected": 7},
+            {"n": 5, "g_n": 8, "g_n_plus_1": 11, "expected": 12},
+        ]
+
+    def test_jaco_recursion_fault_is_caught(self, monkeypatch):
+        def bent(web):
+            result = engine.solve_exact(web)
+            return result._replace(grog=4) if web == Web(jaco.build_jaco(5).digraph) else result
+
+        monkeypatch.setattr(claims, "solve_exact", bent)
+        by_id = failed_claims(["prop-2.10", "cor-2.11"])
+        assert [by_id[c]["status"] for c in ("prop-2.10", "cor-2.11")] == ["fail", "fail"]
+        # g(J_4) = 4 and g(J_6) = 7; J_4 and J_5 have Jaconian vertices v_2 and v_3
+        assert by_id["prop-2.10"]["failures"] == [
+            {"n": 4, "jaconian": 2, "g_n": 4, "g_n_plus_1": 4, "expected": 5},
+            {"n": 5, "jaconian": 3, "g_n": 4, "g_n_plus_1": 7, "expected": 6},
+        ]
+        assert by_id["cor-2.11"]["failures"] == [{"n": 4, "g_n": 4, "g_n_plus_1": 4}]
+
+    def test_termination_fault_is_caught(self, monkeypatch):
+        bent = []
+
+        def overcounting(web, rng):
+            strategy, result = engine.random_maximal_run(web, rng)
+            if not bent:
+                bent.append((web, strategy))
+                result = result._replace(predation_count=len(web.digraph.arcs) + 1)
+            return strategy, result
+
+        monkeypatch.setattr(claims, "random_maximal_run", overcounting)
+        by_id = failed_claims(["obs-1", "obs-2"])
+        assert [by_id[c]["status"] for c in ("obs-1", "obs-2")] == ["fail", "pass"]
+        (web, strategy), = bent
+        assert by_id["obs-1"]["failures"] == [{
+            "web": digraph_to_json(web.digraph), "strategy": strategy_to_json(strategy),
+            "predation_count": 3, "arcs": 2,
+        }]
+
+    def test_replay_fault_is_caught(self, monkeypatch):
+        bent = []
+
+        def drifting(web, strategy):
+            result = engine.run_strategy(web, strategy)
+            if not bent:
+                bent.append((web, strategy, result.residual))
+                result = result._replace(residual=result.residual + 2)
+            return result
+
+        monkeypatch.setattr(claims, "run_strategy", drifting)
+        by_id = failed_claims(["obs-1", "obs-2"])
+        assert [by_id[c]["status"] for c in ("obs-1", "obs-2")] == ["pass", "fail"]
+        (web, strategy, residual), = bent
+        assert by_id["obs-2"]["failures"] == [{
+            "web": digraph_to_json(web.digraph), "strategy": strategy_to_json(strategy),
+            "first_residual": residual, "second_residual": residual + 2,
+        }]
+
+    def test_greedy_fault_is_caught(self, monkeypatch):
+        bent = []
+
+        def undercounting(web, cap):
+            result = engine.enumerate_greedy(web, cap)
+            if not bent:
+                bent.append((web, result.min_residual))
+                result = result._replace(min_residual=result.min_residual + 2)
+            return result
+
+        monkeypatch.setattr(claims, "enumerate_greedy", undercounting)
+        report = failed_claims(["def-2.2-equivalence"])["def-2.2-equivalence"]
+        assert report["status"] == "fail"
+        (web, grog), = bent
+        assert report["failures"] == [
+            {"web": digraph_to_json(web.digraph), "exact": grog, "greedy_min": grog + 2},
+        ]
+
+    def test_web_count_fault_is_caught(self, monkeypatch):
+        # C3 has 6 automorphisms; read as 2, its 8 webs must match the half-formula
+        def bent(g):
+            return 2 if g == cycle_graph(3) else webs.automorphism_count(g)
+
+        monkeypatch.setattr(claims, "automorphism_count", bent)
+        report = failed_claims(["web-count"])["web-count"]
+        assert report["status"] == "fail"
+        assert report["failures"] == [{"base": "C3", "formula": 24, "dedup": 8, "aut": 2}]
 
 
 class TestRegistry:
@@ -463,6 +580,10 @@ class TestRunAll:
         config = SMALL._replace(n_max_path=WEB_N_CAP + 1)
         report = run_claims(["cor-2.5"], config)
         assert report["claims"][0]["status"] == "skipped"
+        # the message of the one web order check, as `enumerate --n 9` prints it
+        assert report["claims"][0]["values"]["skip_reason"] == (
+            "n=9 exceeds the web enumeration cap 8"
+        )
         assert report["status"] == "incomplete"
 
     def test_engine_error_is_not_skipped(self, monkeypatch):

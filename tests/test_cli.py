@@ -8,7 +8,14 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import EXAMPLE1_WEBS, bent_jaconian_reader, oracle_solve, run_cli, top_first_builder
+from conftest import (
+    EXAMPLE1_WEBS,
+    bent_jaconian_reader,
+    closed_form_without,
+    oracle_solve,
+    run_cli,
+    top_first_builder,
+)
 
 from grogweb import claims, cli, competition
 from grogweb.engine import GreedyResult, Web, enumerate_greedy, solve_exact, strategy_to_json
@@ -119,6 +126,12 @@ class TestCompetitionCommand:
         monkeypatch.setattr(competition, "build_jaco", top_first_builder(build_jaco, top))
         assert cli.main(["competition", "--check", "--jaco", str(top)]) == 2
         assert capsys.readouterr().err == f"error: Jaco order {top} exceeds the cap 10000\n"
+
+    def test_check_reports_the_first_mismatch(self, monkeypatch, capsys):
+        bent = closed_form_without(competition._closed_form, 9, (3, 4))
+        monkeypatch.setattr(competition, "_closed_form", bent)
+        assert cli.main(["competition", "--check", "--jaco", "12"]) == 1
+        assert capsys.readouterr().out == "MISMATCH at n=9: missing=[(3, 4)] extra=[]\n"
 
 
 class TestGrogCommand:

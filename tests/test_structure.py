@@ -2,9 +2,9 @@
 no claim id outside the harness's catalog module, no settable cap
 outside the greedy counter, no n! indexing walk outside web
 enumeration, no direction-mask loop outside `graphs.orientations`, no
-use of the solver gadget outside `engine._BMatching`, no read of the
-Jaco order cap outside `jaco.jaco_table`, no import inside a library
-function, and no `dataclasses` import.
+use of the solver gadget outside `engine._BMatching`, no read of a cap
+outside the definitions `CAP_READERS` lists for it, no import inside a
+library function, and no `dataclasses` import.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -127,9 +127,9 @@ def mask_loops(tree: ast.Module, module: str) -> list[str]:
     ]
 
 
-# The b-matching core owns the solver gadget: its augmenting-path search,
-# its choice of copies and its cap.
-GADGET_NAMES = {"_augment", "_free_copy_first", "SOLVER_GADGET_CAP"}
+# The b-matching core owns the solver gadget: its augmenting-path search
+# and its choice of copies.
+GADGET_NAMES = {"_augment", "_free_copy_first"}
 
 
 def gadget_users(tree: ast.Module, module: str, names=GADGET_NAMES) -> list[str]:
@@ -142,6 +142,29 @@ def gadget_users(tree: ast.Module, module: str, names=GADGET_NAMES) -> list[str]
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
         and _callee_name(node) in names
     ))
+
+
+# Each cap and the only top-level definitions that may read it: the one
+# function that checks it, plus `webs`' alias of the indexing cap and the
+# harness field that holds the greedy cap's default.
+CAP_READERS = {
+    "INDEXING_CAP": ["graphs.indexings", "webs.<module>"],
+    "WEB_N_CAP": ["webs.check_web_order"],
+    "WEB_EDGE_CAP": ["webs._check_base"],
+    "GREEDY_ARC_CAP": ["claims.HarnessConfig", "engine.enumerate_greedy"],
+    "SOLVER_GADGET_CAP": ["engine._BMatching"],
+    "JACO_ORDER_CAP": ["jaco.jaco_table"],
+}
+
+
+def cap_constants(tree: ast.Module) -> list[str]:
+    """Names ending in `_CAP` that a top-level assignment binds."""
+    return [
+        target.id
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_CAP")
+    ]
 
 
 # A deferred import inside a library call would move start-up cost into
@@ -230,13 +253,17 @@ def test_only_the_b_matching_core_touches_the_gadget():
     assert users == ["engine._BMatching"]
 
 
-def test_only_the_jaco_table_reads_the_order_cap():
-    # every Jaco order, built or only read, comes from jaco.jaco_table
-    users = [
-        u for path in SRC_FILES
-        for u in gadget_users(_parse(path), path.stem, {"JACO_ORDER_CAP"})
-    ]
-    assert users == ["jaco.jaco_table"]
+def test_the_cap_table_names_every_cap():
+    caps = [c for path in SRC_FILES for c in cap_constants(_parse(path))]
+    assert sorted(caps) == sorted(CAP_READERS)
+
+
+@pytest.mark.parametrize("cap", CAP_READERS)
+def test_each_cap_has_only_its_listed_readers(cap):
+    # a cap compared in a second place drifts from the first: its message,
+    # its bound or the order in which it is checked
+    readers = [u for path in SRC_FILES for u in gadget_users(_parse(path), path.stem, {cap})]
+    assert readers == CAP_READERS[cap]
 
 
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
@@ -336,8 +363,29 @@ def test_guard_catches_violations():
         "    return augment(web)\n"
     )
     assert gadget_users(tree, "engine") == [
-        "engine._BMatching", "engine.solve_exact", "engine.check", "engine.<module>",
+        "engine._BMatching", "engine.solve_exact", "engine.<module>",
     ]
+    assert gadget_users(tree, "engine", {"SOLVER_GADGET_CAP"}) == [
+        "engine._BMatching", "engine.check",
+    ]
+    tree = ast.parse(
+        "from .graphs import INDEXING_CAP\n"
+        "WEB_N_CAP = INDEXING_CAP\n"
+        "def check_web_order(n):\n"
+        "    if n > WEB_N_CAP:\n"
+        "        raise CapExceeded(n)\n"
+        "def automorphism_count(g):\n"
+        "    return g.n <= webs.WEB_N_CAP\n"
+        "def fine(g):\n"
+        "    check_web_order(g.n)\n"
+        "    return 'WEB_N_CAP'\n"
+    )
+    assert gadget_users(tree, "webs", {"WEB_N_CAP"}) == [
+        "webs.check_web_order", "webs.automorphism_count",
+    ]
+    # the alias reads the indexing cap, not the cap it binds
+    assert gadget_users(tree, "webs", {"INDEXING_CAP"}) == ["webs.<module>"]
+    assert cap_constants(tree) == ["WEB_N_CAP"]
     tree = ast.parse(
         "import json\n"
         "def cmd_jaco(args):\n"

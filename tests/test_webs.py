@@ -157,7 +157,7 @@ class TestAutomorphisms:
         assert automorphism_count(g) == oracle_automorphism_count(g)
 
     def test_cap(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match="^n=9 exceeds the web enumeration cap 8$"):
             automorphism_count(path_graph(9))
 
     def test_dedup_count_is_orbit_quotient(self):
