@@ -9,12 +9,13 @@ deviation" adaptations are handled: the harness documents the measured
 grog-level numbers instead of asserting an interpretation of them.
 
 `_GROUPS` lists the claims that share one computation, in report order,
-each with the runner that checks them all from a `HarnessConfig` and a
-memo local to one `run_claims` call: the deduplicated webs of each base
+each with the runner that checks them all from a `HarnessConfig` and two
+memos local to one `run_claims` call: the deduplicated webs of each base
 graph, enumerated once and shared by the web corpus and the web-count
-check.  The path, cycle and thm-2.6 checks need no memo, since their
-graph-level values cost one exact solve per label placement (see
-`webs`).  A group runs once when any of its claims is requested.
+check, and the grog number of each family base, solved once and shared
+by the path and cycle checks (both read g(P_n)).  Keyed by base, the
+second memo serves each order alone, whatever range each group asks
+for.  A group runs once when any of its claims is requested.
 
 Two groups check seeded random maximal strategies: the terminal-state
 laws (lemma-2.1, lemma-2.2 and lemma-2.3, one pass over shared runs) and
@@ -60,6 +61,8 @@ from .webs import (
 
 # base graph -> its webs, as enumerate_webs(base, dedup=True) yields them
 Webs = Callable[[UGraph], list[Web]]
+# base graph -> its graph-level grog number, as grog_number(base).grog gives it
+Grog = Callable[[UGraph], int]
 
 ASSERT = "assert"
 REPORT_ONLY = "report-only"
@@ -88,26 +91,27 @@ CLAIM_INFO = {
     "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2", None),
 }
 
-# (claim ids, runner(config, webs) -> their reports), in report order;
+# (claim ids, runner(config, webs, grog) -> their reports), in report order;
 # webs(base) is the deduplicated webs of base, enumerated once per base, which
-# _corpus extends with random webs.  The random runs of the terminal-state
-# laws come from seed + 2 and those of obs-1/obs-2 from seed + 3; def-2.2's
-# random webs come from seed + 4.  seed + 1 is left undrawn, so every other
-# stream keeps the number its pinned runs and reports were drawn with.
+# _corpus extends with random webs, and grog(base) its grog number, solved
+# once per base.  The random runs of the terminal-state laws come from
+# seed + 2 and those of obs-1/obs-2 from seed + 3; def-2.2's random webs come
+# from seed + 4.  seed + 1 is left undrawn, so every other stream keeps the
+# number its pinned runs and reports were drawn with.
 _GROUPS = (
-    (("thm-1.1",), lambda c, webs: [check_competition_closed_form(c.n_max_thm11)]),
-    (("lemma-2.1", "lemma-2.2", "lemma-2.3"), lambda c, webs: check_terminal_state_laws(
+    (("thm-1.1",), lambda c, webs, grog: [check_competition_closed_form(c.n_max_thm11)]),
+    (("lemma-2.1", "lemma-2.2", "lemma-2.3"), lambda c, webs, grog: check_terminal_state_laws(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
-    (("prop-2.4", "cor-2.5"), lambda c, webs: check_path_relations(c.n_max_path)),
-    (("thm-2.6",), lambda c, webs: [check_orientation_divergence()]),
-    (("prop-2.7", "cor-2.8"), lambda c, webs: check_cycle_relations(c.n_max_cycle)),
+    (("prop-2.4", "cor-2.5"), lambda c, webs, grog: check_path_relations(c.n_max_path, grog)),
+    (("thm-2.6",), lambda c, webs, grog: [check_orientation_divergence()]),
+    (("prop-2.7", "cor-2.8"), lambda c, webs, grog: check_cycle_relations(c.n_max_cycle, grog)),
     (("lemma-2.9", "prop-2.10", "cor-2.11"),
-     lambda c, webs: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
-    (("obs-1", "obs-2"), lambda c, webs: check_termination_and_determinism(
+     lambda c, webs, grog: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
+    (("obs-1", "obs-2"), lambda c, webs, grog: check_termination_and_determinism(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
-    (("def-2.2-equivalence",), lambda c, webs: [check_greedy_equivalence(
+    (("def-2.2-equivalence",), lambda c, webs, grog: [check_greedy_equivalence(
         _corpus(webs, c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c, webs: [check_web_count(webs)]),
+    (("web-count",), lambda c, webs, grog: [check_web_count(webs)]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -284,8 +288,12 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int) -> ClaimReport:
     return _report("def-2.2-equivalence", len(corpus), failures, values)
 
 
-def _family_grogs(what: str, family, n_max: int) -> dict[int, int]:
-    """g(family(n)) for n = 3..n_max: the least grog number of any web.
+def _graph_grog(base: UGraph) -> int:
+    return grog_number(base).grog
+
+
+def _family_grogs(what: str, family, n_max: int, grog: Grog) -> dict[int, int]:
+    """grog(family(n)) for n = 3..n_max: the least grog number of any web.
 
     Refuses n_max below 3 or past the web order cap before any base is
     solved; the cap bounds the label placements that `grog_number` walks.
@@ -293,13 +301,13 @@ def _family_grogs(what: str, family, n_max: int) -> dict[int, int]:
     if n_max < 3:
         raise GraphError(f"{what} needs n_max >= 3, got {n_max}")
     check_web_order(n_max)
-    return {n: grog_number(family(n)).grog for n in range(3, n_max + 1)}
+    return {n: grog(family(n)) for n in range(3, n_max + 1)}
 
 
-def check_path_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
+def check_path_relations(n_max: int, grog: Grog = _graph_grog) -> tuple[ClaimReport, ClaimReport]:
     """cor-2.5's g(P_{n+1}) = g(P_n) + (n - 1) and prop-2.4's (report-only)
     per-web grog histograms and extension deltas, from one brute-forced g(P_n)."""
-    g = _family_grogs("path recursion", path_graph, n_max)
+    g = _family_grogs("path recursion", path_graph, n_max, grog)
     failures = []
     for n in range(3, n_max):
         if g[n + 1] != g[n] + (n - 1):
@@ -321,7 +329,7 @@ def check_path_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     )
 
 
-def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
+def check_cycle_relations(n_max: int, grog: Grog = _graph_grog) -> tuple[ClaimReport, ClaimReport]:
     """prop-2.7 and cor-2.8 (report-only): observed cycle deltas.
 
     These are per-strategy statements about minimally-deviated strategy
@@ -329,8 +337,8 @@ def check_cycle_relations(n_max: int) -> tuple[ClaimReport, ClaimReport]:
     (already g(C_3) = 2 = g(P_3) rather than g(P_3) - 2), so the
     observed sequences are recorded without assertion.
     """
-    gc = _family_grogs("cycle relations", cycle_graph, n_max)
-    gp = _family_grogs("cycle relations", path_graph, n_max)
+    gc = _family_grogs("cycle relations", cycle_graph, n_max, grog)
+    gp = _family_grogs("cycle relations", path_graph, n_max, grog)
     g_cycle = {str(n): gc[n] for n in sorted(gc)}
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
@@ -562,11 +570,17 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
     deduped: dict[UGraph, list[Web]] = {}
+    grogs: dict[UGraph, int] = {}
 
     def webs(base: UGraph) -> list[Web]:
         if base not in deduped:
             deduped[base] = _dedup_webs(base)
         return deduped[base]
+
+    def grog(base: UGraph) -> int:
+        if base not in grogs:
+            grogs[base] = _graph_grog(base)
+        return grogs[base]
 
     def skipped(cid: str, reason: str) -> ClaimReport:
         return ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": reason})
@@ -576,7 +590,7 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         if not wanted.intersection(ids):
             continue
         try:
-            group_reports = runner(config, webs)
+            group_reports = runner(config, webs, grog)
         except GraphError as exc:
             group_reports = [skipped(cid, str(exc)) for cid in ids]
         reports.extend(

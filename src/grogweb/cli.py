@@ -181,9 +181,8 @@ def cmd_enumerate(args) -> int:
         complete_graph,
         cycle_graph,
         enumerate_webs,
-        grog_number,
+        grog_and_distribution,
         path_graph,
-        residual_distribution,
         star_graph,
         web_count_formula,
     )
@@ -203,12 +202,13 @@ def cmd_enumerate(args) -> int:
         base = ugraph_from_json(_load_json_file(args.graph))
     if args.format == "csv" and not args.distribution:
         raise GraphError("csv output needs --distribution")
-    # grog_number checks the base before anything is counted; label placements
-    # give the graph-level values, and the raw stream repeats each web |Aut| times
-    grog, witness, _ = grog_number(base)
+    # grog_and_distribution checks the base before anything is counted; one walk
+    # of the label placements gives both graph-level values, and the raw stream
+    # repeats each web |Aut| times
+    (grog, witness, _), histogram = grog_and_distribution(base)
     formula = web_count_formula(base.n, len(base.edges))
     scale = 1 if args.dedup else automorphism_count(base)
-    distribution = {r: c * scale for r, c in residual_distribution(base).items()}
+    distribution = {r: c * scale for r, c in histogram.items()}
     web_count = sum(distribution.values())
     # only the greedy counts depend on orientation, so only --distribution
     # walks the webs, and csv, which prints no count, walks none

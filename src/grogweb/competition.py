@@ -4,11 +4,14 @@ Two vertices compete when they share at least one common out-neighbor
 (common prey).  The direct route works for any digraph on big-int
 bitsets: preds[z] has bit t set for every in-neighbor t of z, and one OR
 per arc (t, h) adds preds[h] to rivals[t], the set of vertices sharing
-some prey with t (t itself included when it has an out-arc).  Each u
-then reads its edges off the set bits of rivals[u] above bit u, which
-come out in ascending order, so the edge list is sorted as built; the
-heads are taken from one list of vertex ints, so no int is allocated per
-edge.
+some prey with t (t itself included when it has an out-arc).  Arcs come
+sorted by tail, so each tail's bit 1 << t is made once for its whole
+run, not once per arc.  Each u then reads its edges off the set bits of
+rivals[u] above bit u: bin() spells them, one bytes.translate turns the
+digits into 0/1 selectors, and compress picks the vertices in one C
+loop.  They come out in ascending order, so the edge list is sorted as
+built; the heads are taken from one list of vertex ints, so no int is
+allocated per edge.
 
 For Jaco graphs of order at least 5 the competition graph also has a
 closed form: take the undirected subgraph induced by v_3 .. v_{n-1},
@@ -20,8 +23,9 @@ sorted by (tail, head), each tail's out-arcs form one contiguous run,
 and the edges of v_i, i >= 3, are its run minus the last arc.  Joining
 those slices of the arc tuple yields the sorted edge tuple directly, so
 the kept arc tuples serve as the edge tuples.
-check_theorem_1_1 compares the two routes edge for edge, on one J_n per
-order.
+check_theorem_1_1 compares the two routes edge for edge at every order
+5..n_max.  It builds J_{n_max} alone and takes each lower order as its
+prefix (JacoGraph.prefix), whose arcs are slices of the one build.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from typing import NamedTuple
 
 from .graphs import Digraph, GraphError, UGraph, ugraph_to_dot, ugraph_to_json
 from .jaco import JacoGraph, build_jaco
+
+# the bytes "0" and "1" of a bin() string to the selectors 0 and 1
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class CompetitionGraph(NamedTuple):
@@ -47,12 +54,16 @@ class CompetitionGraph(NamedTuple):
 def competition_graph(d: Digraph) -> CompetitionGraph:
     """Competition graph by direct definition, on in-neighbor bitsets.
 
-    Costs one big-int OR per arc plus one scan of each rivals bitset.
+    Costs one big-int OR per arc, one shift per tail, plus one scan of
+    each rivals bitset.
     """
     n = d.n
     preds = [0] * (n + 1)
-    for t, h in d.arcs:
-        preds[h] |= 1 << t
+    tail = bit = 0
+    for t, h in d.arcs:  # sorted by tail, so each tail's run shares one shift
+        if t != tail:
+            tail, bit = t, 1 << t
+        preds[h] |= bit
     rivals = [0] * (n + 1)
     for t, h in d.arcs:
         rivals[t] |= preds[h]
@@ -64,9 +75,9 @@ def competition_graph(d: Digraph) -> CompetitionGraph:
         if rivals[u] | own == own:
             isolated.append(u)
             continue
-        # bin() of the bits above u, reversed so character k is bit u + 1 + k
-        above = bin(rivals[u] >> (u + 1))[:1:-1]
-        edges.extend(zip(repeat(u), compress(vertices[u + 1:], map("1".__eq__, above))))
+        # bin() of the bits above u, reversed so byte k is bit u + 1 + k, as 0 or 1
+        above = bin(rivals[u] >> (u + 1))[:1:-1].encode().translate(_BITS)
+        edges.extend(zip(repeat(u), compress(vertices[u + 1:], above)))
     return CompetitionGraph(UGraph(n, tuple(edges)), tuple(isolated))
 
 
@@ -121,14 +132,16 @@ def check_theorem_1_1(n_max: int) -> TheoremCheck:
     """Compare closed form and direct computation for 5 <= n <= n_max.
 
     Disagreements are data, not errors: each failing order carries the
-    missing and extra edge sets.  Orders run from n_max down, so an order
-    past `JACO_ORDER_CAP` raises before any other is built.
+    missing and extra edge sets.  J_{n_max} is built first and alone, so
+    an order past `JACO_ORDER_CAP` raises before any work; every lower
+    order is its prefix.
     """
     if type(n_max) is not int or n_max < 5:
         raise GraphError(f"theorem domain starts at n = 5, got n_max {n_max!r}")
+    top = build_jaco(n_max)
     results = []
     for n in range(n_max, 4, -1):
-        jg = build_jaco(n)
+        jg = top.prefix(n)
         closed = _closed_form(jg)
         direct = competition_graph(jg.digraph)
         entry: dict = {"n": n, "equal": closed == direct}

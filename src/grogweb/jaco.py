@@ -10,6 +10,9 @@ the iteration at j = n.  Consequently the order-n graph is a prefix of
 the order-(n + 1) graph, and one table of order n holds every order up
 to n: jaco_table(n) lists the in-degree d^-(v_i) and the unclamped reach
 B_i = 2i - d^-(v_i) of each v_i, and J_m(1), m <= n, is its first m rows.
+Likewise JacoGraph.prefix(m) cuts J_m(1) out of a built J_n(1) without
+building it: each tail's run of arcs ends at min(m, B_i), so J_m's arcs
+are slices of J_n's arc tuple, and a sweep over orders builds one graph.
 
 Out-neighbors of a tail in J_m(1) are a consecutive run i+1 .. min(m, B_i),
 a fact the competition closed form relies on.  build_jaco emits each run
@@ -30,7 +33,7 @@ Lemma 2.9's 2i - m >= 0 is decided by the lemma-2.9 claim.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from .graphs import CapExceeded, Digraph, GraphError, digraph_to_json
@@ -50,6 +53,25 @@ class JacoGraph(NamedTuple):
     in_deg: tuple[int, ...]
     out_deg: tuple[int, ...]
     jaconian: int | None
+
+    def prefix(self, m: int) -> JacoGraph:
+        """J_m(1), 1 <= m <= n: this graph with v_{m+1} .. v_n cut away.
+
+        Each tail's run of arcs is sliced to end at min(m, B_i), so the arc
+        tuples are this graph's own and none is allocated.  In-degrees up
+        to v_m are final here, so they give the reaches B_i = 2i - d^-(v_i)
+        of a table of order n, which check_jaconian reads at order m.
+        """
+        if type(m) is not int or not 1 <= m <= self.n:
+            raise GraphError(f"prefix order must be in 1..{self.n}, got {m!r}")
+        in_deg = self.in_deg[:m]
+        reach = [2 * i - d for i, d in enumerate(in_deg, 1)]
+        out_deg = tuple(min(m, b) - i for i, b in enumerate(reach, 1))
+        arcs = self.digraph.arcs
+        starts = accumulate(self.out_deg, initial=0)
+        runs = [arcs[s:s + d] for s, d in zip(starts, out_deg)]
+        jaconian = check_jaconian((in_deg, reach), m) if m >= 2 else None
+        return JacoGraph(m, Digraph(m, tuple(chain.from_iterable(runs))), in_deg, out_deg, jaconian)
 
 
 def jaco_table(n: int) -> tuple[list[int], list[int]]:

@@ -211,8 +211,9 @@ class GraphGrogResult(NamedTuple):
     strategy: Strategy
 
 
-def grog_number(g: UGraph) -> GraphGrogResult:
-    """Minimum grog number over every indexing and orientation of g.
+def _walk(g: UGraph) -> tuple[GraphGrogResult, Counter[int]]:
+    """One walk of the label placements: the graph-level grog number with
+    its witness, and the count of placements at each grog number.
 
     The witness is the first optimal web in stream order, with or
     without deduplication: the mask-0 web of the least indexing that
@@ -223,23 +224,34 @@ def grog_number(g: UGraph) -> GraphGrogResult:
     was at the minimum when it was solved.
     """
     best, kept = (math.inf,), {}  # (grog, labels, web) of the least placement so far
+    counts: Counter[int] = Counter()
     for labels, web, grog, result in _placements(g):
+        counts[grog] += 1
         if grog < best[0]:
             kept = {}
         best = min(best, (grog, labels, web))
         if result is not None and grog == best[0]:
             kept[web] = result
-    return GraphGrogResult(best[0], best[2], kept[best[2]].witness)
+    return GraphGrogResult(best[0], best[2], kept[best[2]].witness), counts
+
+
+def grog_number(g: UGraph) -> GraphGrogResult:
+    """Minimum grog number over every indexing and orientation of g, with
+    the first optimal web in stream order and its witness strategy."""
+    return _walk(g)[0]
+
+
+def grog_and_distribution(g: UGraph) -> tuple[GraphGrogResult, dict[int, int]]:
+    """grog_number(g) and residual_distribution(g) from one walk, so each
+    distinct placement web is solved once for both."""
+    result, counts = _walk(g)
+    # each placement stands for the same number of indexings, each labelled
+    # edge set arises from |Aut(g)| indexings, and each has 2^eps orientations
+    scale = (math.factorial(g.n) // counts.total()) << len(g.edges)
+    aut = automorphism_count(g)
+    return result, {grog: count * scale // aut for grog, count in sorted(counts.items())}
 
 
 def residual_distribution(g: UGraph) -> dict[int, int]:
-    """Histogram grog number -> web count over the deduplicated webs.
-
-    Each placement stands for the same number of indexings, each labelled
-    edge set arises from |Aut(g)| indexings, and each has 2^eps distinct
-    orientations.
-    """
-    counts = Counter(grog for _, _, grog, _ in _placements(g))
-    scale = (math.factorial(g.n) // counts.total()) << len(g.edges)
-    aut = automorphism_count(g)
-    return {grog: count * scale // aut for grog, count in sorted(counts.items())}
+    """Histogram grog number -> web count over the deduplicated webs."""
+    return grog_and_distribution(g)[1]

@@ -145,6 +145,34 @@ class TestPathAndCycle:
         assert [c["status"] for c in report["claims"]] == ["reported", "pass"]
         assert solved == [3, 4, 5, 6]
 
+    def test_run_all_solves_each_family_order_once(self, monkeypatch):
+        # the cycle group reads g(P_n) off the path group's memo
+        solved = []
+
+        def counting(base):
+            solved.append(base)
+            return webs.grog_number(base)
+
+        monkeypatch.setattr(claims, "grog_number", counting)
+        run_all()
+        assert sorted(base.n for base in solved) == [3, 3, 4, 4, 5, 5, 6, 6]
+        assert len(set(solved)) == len(solved) == 8
+
+    def test_family_memo_is_keyed_per_order(self, monkeypatch):
+        # a longer cycle range solves only the paths the path group left out
+        solved = []
+
+        def counting(base):
+            solved.append((len(base.edges) == base.n, base.n))
+            return webs.grog_number(base)
+
+        monkeypatch.setattr(claims, "grog_number", counting)
+        config = HarnessConfig(n_max_path=4, n_max_cycle=6)
+        report = run_claims(["cor-2.5", "prop-2.7"], config)
+        assert [c["status"] for c in report["claims"]] == ["pass", "reported"]
+        assert solved == [(False, 3), (False, 4), (True, 3), (True, 4), (True, 5), (True, 6),
+                          (False, 5), (False, 6)]
+
 
 class TestJacoClaims:
     def test_recursion_holds(self):

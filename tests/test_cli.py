@@ -351,11 +351,28 @@ class TestEnumerateCommand:
 
     def test_csv_usage_error_comes_before_any_solve(self, monkeypatch, capsys):
         def solve(*args, **kwargs):
-            raise AssertionError("grog_number called for a csv usage error")
+            raise AssertionError("solve_exact called for a csv usage error")
 
-        monkeypatch.setattr("grogweb.webs.grog_number", solve)
+        monkeypatch.setattr("grogweb.webs.solve_exact", solve)
         assert cli.main(["enumerate", "--graph", "star", "--n", "8", "--format", "csv"]) == 2
         assert capsys.readouterr().err == "error: csv output needs --distribution\n"
+
+    @pytest.mark.parametrize("argv, solves", [
+        (["--graph", "path", "--n", "8"], 8),
+        (["--graph", "path", "--n", "8", "--distribution", "--format", "csv"], 8),
+        (["--graph", "star", "--n", "6", "--dedup", "--format", "json"], 5),
+    ])
+    def test_solves_each_placement_web_once(self, monkeypatch, capsys, argv, solves):
+        # grog_number alone makes as many solves; the distribution rides along
+        calls = []
+
+        def counting(web):
+            calls.append(web)
+            return solve_exact(web)
+
+        monkeypatch.setattr("grogweb.webs.solve_exact", counting)
+        assert cli.main(["enumerate", *argv]) == 0
+        assert len(calls) == len(set(calls)) == solves
 
     def test_file_base(self, tmp_path):
         path = tmp_path / "base.json"

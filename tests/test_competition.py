@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from conftest import (
@@ -137,7 +138,7 @@ class TestTheoremCheck:
         with pytest.raises(GraphError):
             check_theorem_1_1(4)
 
-    def test_builds_each_order_once(self, monkeypatch):
+    def test_builds_only_the_top_order(self, monkeypatch):
         built = []
 
         def spy(n):
@@ -146,7 +147,17 @@ class TestTheoremCheck:
 
         monkeypatch.setattr(competition, "build_jaco", spy)
         assert check_theorem_1_1(30).all_equal
-        assert built == list(range(30, 4, -1))
+        assert built == [30]
+
+    def test_sweep_memory_is_bounded(self):
+        # the prefixes share J_300's arc tuples; the sweep peaked at 3.7 MB
+        tracemalloc.start()
+        try:
+            assert check_theorem_1_1(300).all_equal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6, peak
 
     def test_results_are_ascending(self):
         assert [r["n"] for r in check_theorem_1_1(12).results] == list(range(5, 13))

@@ -48,6 +48,23 @@ class TestBuildJaco:
             assert tuple(min(m, b) - i for i, b in enumerate(reach[:m], 1)) == oracle_out, m
             assert (check_jaconian(table, m) if m >= 2 else None) == oracle_jaconian, m
 
+    def test_every_prefix_equals_its_own_build(self):
+        top = build_jaco(300)
+        for m in range(1, 301):
+            assert top.prefix(m) == build_jaco(m), m
+
+    def test_prefix_arcs_are_the_top_build_tuples(self):
+        top = build_jaco(300)
+        arc_ids = {id(arc) for arc in top.digraph.arcs}
+        for m in (1, 2, 5, 77, 150, 299, 300):
+            assert all(id(arc) in arc_ids for arc in top.prefix(m).digraph.arcs), m
+
+    def test_prefix_domain(self):
+        top = build_jaco(12)
+        for m in (0, 13, 5.0, True):
+            with pytest.raises(GraphError, match="prefix order must be in 1..12"):
+                top.prefix(m)
+
     def test_arcs_share_one_int_per_vertex(self):
         # ints above 256 are not cached; one object per vertex keeps the
         # arc tuples the only per-arc allocation

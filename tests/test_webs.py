@@ -21,12 +21,16 @@ from grogweb.webs import (
     complete_graph,
     cycle_graph,
     enumerate_webs,
+    grog_and_distribution,
     grog_number,
     path_graph,
     residual_distribution,
     star_graph,
     web_count_formula,
 )
+
+# the graph-level functions, each of which walks the label placements once
+GRAPH_LEVEL = (grog_number, residual_distribution, grog_and_distribution)
 
 # a star on 1 plus the path 2-5: 360 placements
 FAN = make_ugraph(6, [(1, v) for v in range(2, 7)] + [(2, 3), (3, 4), (4, 5)])
@@ -231,7 +235,7 @@ class TestPlacements:
             delta = max(base.degree(v) for v in range(1, base.n + 1))
             k = max(delta - 1, 0)
             assert placements == math.factorial(base.n) // math.factorial(base.n - k)
-            for graph_level in (grog_number, residual_distribution):
+            for graph_level in GRAPH_LEVEL:
                 calls.clear()
                 graph_level(base)
                 assert len(calls) == solves, (base, graph_level.__name__)
@@ -257,7 +261,7 @@ class TestPlacements:
         # a star on 1 plus the path 2-5: holding every placement web's
         # SolveResult peaked at 0.85 MB (grog_number) and 0.72 MB
         # (residual_distribution), one grog int per web at 0.33 / 0.15 MB
-        for graph_level in (grog_number, residual_distribution):
+        for graph_level in GRAPH_LEVEL:
             tracemalloc.start()
             try:
                 graph_level(FAN)
@@ -271,7 +275,7 @@ class TestPlacements:
             raise AssertionError("solved before the cap check")
 
         monkeypatch.setattr(webs, "solve_exact", no_solve)
-        for graph_level in (grog_number, residual_distribution):
+        for graph_level in GRAPH_LEVEL:
             with pytest.raises(CapExceeded):
                 graph_level(path_graph(9))
             with pytest.raises(CapExceeded):
@@ -322,6 +326,7 @@ class TestAgainstOracle:
         assert result.web == web
         assert result.strategy == strategy
         assert residual_distribution(g) == hist
+        assert grog_and_distribution(g) == (result, hist)
 
 
 class TestAgainstPerWebSolves:
