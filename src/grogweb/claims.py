@@ -10,12 +10,12 @@ grog-level numbers instead of asserting an interpretation of them.
 
 `_GROUPS` lists the claims that share one computation, in report order,
 each with the runner that checks them all from a `HarnessConfig` and two
-memos local to one `run_claims` call: the deduplicated webs of each base
-graph, enumerated once and shared by the web corpus and the web-count
-check, and the grog number of each family base, solved once and shared
-by the path and cycle checks (both read g(P_n)).  Keyed by base, the
-second memo serves each order alone, whatever range each group asks
-for.  A group runs once when any of its claims is requested.
+memos local to one `run_claims` call, both keyed by base graph: the
+deduplicated webs of each base, enumerated once and shared by the web
+corpus and the web-count check, and the graph-level values of each base,
+its grog number and residual histogram from one walk of its label
+placements, shared by the path, cycle and divergence checks (P_3..P_5
+serve all three).  A group runs once when any of its claims is requested.
 
 Two groups check seeded random maximal strategies: the terminal-state
 laws (lemma-2.1, lemma-2.2 and lemma-2.3, one pass over shared runs) and
@@ -47,22 +47,22 @@ from .engine import (
 from .graphs import Digraph, GraphError, UGraph, digraph_to_json
 from .jaco import build_jaco, check_jaconian, jaco_table, max_degree_vertex
 from .webs import (
+    GraphGrogResult,
     automorphism_count,
     check_web_order,
     complete_graph,
     cycle_graph,
     enumerate_webs,
-    grog_number,
+    grog_and_distribution,
     path_graph,
-    residual_distribution,
     star_graph,
     web_count_formula,
 )
 
 # base graph -> its webs, as enumerate_webs(base, dedup=True) yields them
 Webs = Callable[[UGraph], list[Web]]
-# base graph -> its graph-level grog number, as grog_number(base).grog gives it
-Grog = Callable[[UGraph], int]
+# base graph -> its grog number and residual histogram, as grog_and_distribution gives them
+Values = Callable[[UGraph], tuple[GraphGrogResult, dict[int, int]]]
 
 ASSERT = "assert"
 REPORT_ONLY = "report-only"
@@ -91,27 +91,27 @@ CLAIM_INFO = {
     "web-count": (ASSERT, "deduplicated web count against the half-formula n!2^eps/2", None),
 }
 
-# (claim ids, runner(config, webs, grog) -> their reports), in report order;
+# (claim ids, runner(config, webs, values) -> their reports), in report order;
 # webs(base) is the deduplicated webs of base, enumerated once per base, which
-# _corpus extends with random webs, and grog(base) its grog number, solved
-# once per base.  The random runs of the terminal-state laws come from
-# seed + 2 and those of obs-1/obs-2 from seed + 3; def-2.2's random webs come
-# from seed + 4.  seed + 1 is left undrawn, so every other stream keeps the
+# _corpus extends with random webs, and values(base) its grog number and
+# residual histogram, from one placement walk per base.  The random runs of
+# the terminal-state laws come from seed + 2 and those of obs-1/obs-2 from
+# seed + 3; def-2.2's random webs come from seed + 4.  seed + 1 is left undrawn, so every other stream keeps the
 # number its pinned runs and reports were drawn with.
 _GROUPS = (
-    (("thm-1.1",), lambda c, webs, grog: [check_competition_closed_form(c.n_max_thm11)]),
-    (("lemma-2.1", "lemma-2.2", "lemma-2.3"), lambda c, webs, grog: check_terminal_state_laws(
+    (("thm-1.1",), lambda c, webs, values: [check_competition_closed_form(c.n_max_thm11)]),
+    (("lemma-2.1", "lemma-2.2", "lemma-2.3"), lambda c, webs, values: check_terminal_state_laws(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 2)),
-    (("prop-2.4", "cor-2.5"), lambda c, webs, grog: check_path_relations(c.n_max_path, grog)),
-    (("thm-2.6",), lambda c, webs, grog: [check_orientation_divergence()]),
-    (("prop-2.7", "cor-2.8"), lambda c, webs, grog: check_cycle_relations(c.n_max_cycle, grog)),
+    (("prop-2.4", "cor-2.5"), lambda c, webs, values: check_path_relations(c.n_max_path, values)),
+    (("thm-2.6",), lambda c, webs, values: [check_orientation_divergence(values)]),
+    (("prop-2.7", "cor-2.8"), lambda c, webs, values: check_cycle_relations(c.n_max_cycle, values)),
     (("lemma-2.9", "prop-2.10", "cor-2.11"),
-     lambda c, webs, grog: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
-    (("obs-1", "obs-2"), lambda c, webs, grog: check_termination_and_determinism(
+     lambda c, webs, values: check_jaco_recursion(c.n_max_jaco, c.n_max_lemma29)),
+    (("obs-1", "obs-2"), lambda c, webs, values: check_termination_and_determinism(
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
-    (("def-2.2-equivalence",), lambda c, webs, grog: [check_greedy_equivalence(
+    (("def-2.2-equivalence",), lambda c, webs, values: [check_greedy_equivalence(
         _corpus(webs, c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c, webs, grog: [check_web_count(webs)]),
+    (("web-count",), lambda c, webs, values: [check_web_count(webs)]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -288,26 +288,24 @@ def check_greedy_equivalence(corpus: list[Web], arc_cap: int) -> ClaimReport:
     return _report("def-2.2-equivalence", len(corpus), failures, values)
 
 
-def _graph_grog(base: UGraph) -> int:
-    return grog_number(base).grog
-
-
-def _family_grogs(what: str, family, n_max: int, grog: Grog) -> dict[int, int]:
-    """grog(family(n)) for n = 3..n_max: the least grog number of any web.
+def _family_grogs(what: str, family, n_max: int, values: Values) -> dict[int, int]:
+    """g(family(n)) for n = 3..n_max: the least grog number of any web.
 
     Refuses n_max below 3 or past the web order cap before any base is
-    solved; the cap bounds the label placements that `grog_number` walks.
+    walked; the cap bounds the label placements that `values` walks.
     """
     if n_max < 3:
         raise GraphError(f"{what} needs n_max >= 3, got {n_max}")
     check_web_order(n_max)
-    return {n: grog(family(n)) for n in range(3, n_max + 1)}
+    return {n: values(family(n))[0].grog for n in range(3, n_max + 1)}
 
 
-def check_path_relations(n_max: int, grog: Grog = _graph_grog) -> tuple[ClaimReport, ClaimReport]:
+def check_path_relations(
+    n_max: int, values: Values = grog_and_distribution
+) -> tuple[ClaimReport, ClaimReport]:
     """cor-2.5's g(P_{n+1}) = g(P_n) + (n - 1) and prop-2.4's (report-only)
-    per-web grog histograms and extension deltas, from one brute-forced g(P_n)."""
-    g = _family_grogs("path recursion", path_graph, n_max, grog)
+    per-web grog histograms and extension deltas, from one walk of each P_n."""
+    g = _family_grogs("path recursion", path_graph, n_max, values)
     failures = []
     for n in range(3, n_max):
         if g[n + 1] != g[n] + (n - 1):
@@ -319,17 +317,19 @@ def check_path_relations(n_max: int, grog: Grog = _graph_grog) -> tuple[ClaimRep
             })
     per_web = {}
     for n in range(3, min(5, n_max) + 1):
-        hist = residual_distribution(path_graph(n))
+        hist = values(path_graph(n))[1]
         per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
-    values = {"per_web_grog": per_web, "extension_deltas": deltas}
+    observed = {"per_web_grog": per_web, "extension_deltas": deltas}
     return (
-        _report("prop-2.4", len(per_web) + len(deltas), [], values),
+        _report("prop-2.4", len(per_web) + len(deltas), [], observed),
         _report("cor-2.5", n_max - 3, failures, {"g": {str(n): g[n] for n in sorted(g)}}),
     )
 
 
-def check_cycle_relations(n_max: int, grog: Grog = _graph_grog) -> tuple[ClaimReport, ClaimReport]:
+def check_cycle_relations(
+    n_max: int, values: Values = grog_and_distribution
+) -> tuple[ClaimReport, ClaimReport]:
     """prop-2.7 and cor-2.8 (report-only): observed cycle deltas.
 
     These are per-strategy statements about minimally-deviated strategy
@@ -337,8 +337,8 @@ def check_cycle_relations(n_max: int, grog: Grog = _graph_grog) -> tuple[ClaimRe
     (already g(C_3) = 2 = g(P_3) rather than g(P_3) - 2), so the
     observed sequences are recorded without assertion.
     """
-    gc = _family_grogs("cycle relations", cycle_graph, n_max, grog)
-    gp = _family_grogs("cycle relations", path_graph, n_max, grog)
+    gc = _family_grogs("cycle relations", cycle_graph, n_max, values)
+    gp = _family_grogs("cycle relations", path_graph, n_max, values)
     g_cycle = {str(n): gc[n] for n in sorted(gc)}
     cycle_deltas = {str(n + 1): gc[n + 1] - gc[n] for n in range(3, n_max)}
     diff = {str(n): gc[n] - gp[n] for n in range(3, n_max + 1)}
@@ -380,19 +380,16 @@ def divergence_bases() -> list[tuple[str, UGraph]]:
     ]
 
 
-def check_orientation_divergence() -> ClaimReport:
+def check_orientation_divergence(values: Values = grog_and_distribution) -> ClaimReport:
     """thm-2.6: each base of `divergence_bases` (all n >= 3) has two webs
-    with distinct grog numbers."""
-    bases = divergence_bases()
-    failures = []
-    values: dict = {"bases": {}}
-    for name, base in bases:
-        distinct = list(residual_distribution(base))
-        lo, hi = distinct[0], distinct[-1]
-        values["bases"][name] = {"min": lo, "max": hi, "distinct": distinct}
-        if lo == hi:
-            failures.append({"base": name, "grog": lo})
-    return _report("thm-2.6", len(bases), failures, values)
+    with distinct grog numbers, read off its residual histogram."""
+    observed, failures = {}, []
+    for name, base in divergence_bases():
+        distinct = list(values(base)[1])
+        observed[name] = {"min": distinct[0], "max": distinct[-1], "distinct": distinct}
+        if len(distinct) == 1:
+            failures.append({"base": name, "grog": distinct[0]})
+    return _report("thm-2.6", len(observed), failures, {"bases": observed})
 
 
 def check_jaco_recursion(
@@ -413,7 +410,7 @@ def check_jaco_recursion(
     g = {n: solve_exact(Web(build_jaco(n).digraph)).grog for n in range(2, n_max + 1)}
     jaconian = {n: check_jaconian(table, n) for n in range(2, top + 1)}
     lemma_orders = range(2, lemma29_n_max + 1)
-    lemma = _report("lemma-2.9", lemma29_n_max - 1, [
+    lemma = _report("lemma-2.9", len(lemma_orders), [
         {"n": n, "jaconian": jaconian[n], "two_i_minus_n": 2 * jaconian[n] - n}
         for n in lemma_orders if 2 * jaconian[n] - n < 0
     ], {
@@ -570,17 +567,17 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
     deduped: dict[UGraph, list[Web]] = {}
-    grogs: dict[UGraph, int] = {}
+    walked: dict[UGraph, tuple[GraphGrogResult, dict[int, int]]] = {}
 
     def webs(base: UGraph) -> list[Web]:
         if base not in deduped:
             deduped[base] = _dedup_webs(base)
         return deduped[base]
 
-    def grog(base: UGraph) -> int:
-        if base not in grogs:
-            grogs[base] = _graph_grog(base)
-        return grogs[base]
+    def values(base: UGraph) -> tuple[GraphGrogResult, dict[int, int]]:
+        if base not in walked:
+            walked[base] = grog_and_distribution(base)
+        return walked[base]
 
     def skipped(cid: str, reason: str) -> ClaimReport:
         return ClaimReport(cid, CLAIM_INFO[cid][0], "skipped", 0, [], {"skip_reason": reason})
@@ -590,7 +587,7 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         if not wanted.intersection(ids):
             continue
         try:
-            group_reports = runner(config, webs, grog)
+            group_reports = runner(config, webs, values)
         except GraphError as exc:
             group_reports = [skipped(cid, str(exc)) for cid in ids]
         reports.extend(

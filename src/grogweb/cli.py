@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import chain
 
@@ -176,7 +177,6 @@ def cmd_enumerate(args) -> int:
     from .engine import enumerate_greedy, solve_exact
     from .graphs import digraph_to_json, ugraph_from_json, ugraph_to_json, underlying
     from .webs import (
-        automorphism_count,
         check_web_order,
         complete_graph,
         cycle_graph,
@@ -203,12 +203,12 @@ def cmd_enumerate(args) -> int:
     if args.format == "csv" and not args.distribution:
         raise GraphError("csv output needs --distribution")
     # grog_and_distribution checks the base before anything is counted; one walk
-    # of the label placements gives both graph-level values, and the raw stream
-    # repeats each web |Aut| times
+    # of the label placements gives both graph-level values.  The raw stream
+    # repeats each web |Aut| times, and the histogram sums to n! 2^eps / |Aut|
     (grog, witness, _), histogram = grog_and_distribution(base)
     formula = web_count_formula(base.n, len(base.edges))
-    scale = 1 if args.dedup else automorphism_count(base)
-    distribution = {r: c * scale for r, c in histogram.items()}
+    aut = (math.factorial(base.n) << len(base.edges)) // sum(histogram.values())
+    distribution = {r: c * (1 if args.dedup else aut) for r, c in histogram.items()}
     web_count = sum(distribution.values())
     # only the greedy counts depend on orientation, so only --distribution
     # walks the webs, and csv, which prints no count, walks none

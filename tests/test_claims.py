@@ -106,13 +106,16 @@ class TestPathAndCycle:
         def no_enumeration(*args, **kwargs):
             raise AssertionError("enumerated before the cap check")
 
-        monkeypatch.setattr(claims, "residual_distribution", no_enumeration)
-        monkeypatch.setattr(claims, "grog_number", no_enumeration)
+        # the checks' default `values` is bound when they are defined, so a
+        # direct call is handed the failing walk; run_claims reads the patch
+        monkeypatch.setattr(claims, "grog_and_distribution", no_enumeration)
         for check in (check_path_relations, check_cycle_relations):
             with pytest.raises(CapExceeded):
-                check(WEB_N_CAP + 1)
+                check(WEB_N_CAP + 1, no_enumeration)
             with pytest.raises(GraphError):
-                check(2)
+                check(2, no_enumeration)
+        report = run_claims(["cor-2.5", "prop-2.7"], HarnessConfig(n_max_path=2, n_max_cycle=9))
+        assert [c["status"] for c in report["claims"]] == ["skipped", "skipped"]
 
     def test_path_recursion_past_six(self):
         _, report = check_path_relations(7)
@@ -138,25 +141,39 @@ class TestPathAndCycle:
 
         def counting(base):
             solved.append(base.n)
-            return webs.grog_number(base)
+            return webs.grog_and_distribution(base)
 
-        monkeypatch.setattr(claims, "grog_number", counting)
+        monkeypatch.setattr(claims, "grog_and_distribution", counting)
         report = run_claims(["prop-2.4", "cor-2.5"], HarnessConfig())
         assert [c["status"] for c in report["claims"]] == ["reported", "pass"]
         assert solved == [3, 4, 5, 6]
 
     def test_run_all_solves_each_family_order_once(self, monkeypatch):
-        # the cycle group reads g(P_n) off the path group's memo
+        # the cycle and divergence groups read the path group's memo: each
+        # of P_3..P_6, C_3..C_6, star_4 and K_4 is walked once
         solved = []
 
         def counting(base):
             solved.append(base)
-            return webs.grog_number(base)
+            return webs.grog_and_distribution(base)
 
-        monkeypatch.setattr(claims, "grog_number", counting)
+        monkeypatch.setattr(claims, "grog_and_distribution", counting)
         run_all()
-        assert sorted(base.n for base in solved) == [3, 3, 4, 4, 5, 5, 6, 6]
-        assert len(set(solved)) == len(solved) == 8
+        assert sorted(base.n for base in solved) == [3, 3, 4, 4, 4, 4, 5, 5, 6, 6]
+        assert len(set(solved)) == len(solved) == 10
+
+    def test_run_all_solves_each_placement_web_once(self, monkeypatch):
+        # one walk per base solves each of the 10 bases' 51 distinct
+        # placement webs once
+        solved = []
+
+        def counting(web):
+            solved.append(web)
+            return engine.solve_exact(web)
+
+        monkeypatch.setattr(webs, "solve_exact", counting)
+        run_all()
+        assert len(set(solved)) == len(solved) == 51
 
     def test_family_memo_is_keyed_per_order(self, monkeypatch):
         # a longer cycle range solves only the paths the path group left out
@@ -164,9 +181,9 @@ class TestPathAndCycle:
 
         def counting(base):
             solved.append((len(base.edges) == base.n, base.n))
-            return webs.grog_number(base)
+            return webs.grog_and_distribution(base)
 
-        monkeypatch.setattr(claims, "grog_number", counting)
+        monkeypatch.setattr(claims, "grog_and_distribution", counting)
         config = HarnessConfig(n_max_path=4, n_max_cycle=6)
         report = run_claims(["cor-2.5", "prop-2.7"], config)
         assert [c["status"] for c in report["claims"]] == ["pass", "reported"]
@@ -216,6 +233,12 @@ class TestJacoClaims:
         # 1.4 GB, while J_2..J_91 fit in a few MB (ru_maxrss is in KB on Linux)
         assert solved == list(range(2, 92))
         assert grown_kb < 64 * 1024, f"peak RSS grew by {grown_kb} KB"
+
+    def test_empty_lemma_range_counts_no_instance(self):
+        # an empty lemma range counts no order, never a negative number
+        lemma, _, _ = check_jaco_recursion(3, 0)
+        assert (lemma.status, lemma.instances, lemma.failures) == ("pass", 0, [])
+        assert lemma.values == {"n_range": [2, 0], "max_degree_divergences": []}
 
     @pytest.mark.parametrize("n_max, lemma29_n_max, top", [(7, 40, 40), (7, 5, 7)])
     def test_one_table_of_the_top_order(self, monkeypatch, n_max, lemma29_n_max, top):
@@ -388,15 +411,33 @@ class TestHarnessSanity:
 
     def test_path_recursion_fault_is_caught(self, monkeypatch):
         def bent(g):
-            result = webs.grog_number(g)
-            return result._replace(grog=8) if g == path_graph(5) else result
+            result, hist = webs.grog_and_distribution(g)
+            return (result._replace(grog=8) if g == path_graph(5) else result), hist
 
-        monkeypatch.setattr(claims, "grog_number", bent)
+        monkeypatch.setattr(claims, "grog_and_distribution", bent)
         report = failed_claims(["cor-2.5"])["cor-2.5"]
         assert report["status"] == "fail"
         assert report["failures"] == [
             {"n": 4, "g_n": 4, "g_n_plus_1": 8, "expected": 7},
             {"n": 5, "g_n": 8, "g_n_plus_1": 11, "expected": 12},
+        ]
+
+    def test_collapsed_histogram_bends_both_readers(self, monkeypatch):
+        # prop-2.4 and thm-2.6 read P_4's histogram off one walk
+        walked = []
+
+        def bent(g):
+            walked.append(g)
+            result, hist = webs.grog_and_distribution(g)
+            return result, ({4: sum(hist.values())} if g == path_graph(4) else hist)
+
+        monkeypatch.setattr(claims, "grog_and_distribution", bent)
+        by_id = failed_claims(["prop-2.4", "thm-2.6"])
+        assert walked.count(path_graph(4)) == 1
+        assert by_id["prop-2.4"]["values"]["per_web_grog"]["P4"] == {"4": 96}
+        assert by_id["thm-2.6"]["failures"] == [
+            {"base": "P4", "grog": 4}, {"base": "C3", "grog": 2},
+            {"base": "C4", "grog": 4}, {"base": "K4", "grog": 2},
         ]
 
     def test_jaco_recursion_fault_is_caught(self, monkeypatch):

@@ -22,6 +22,7 @@ from grogweb.engine import GreedyResult, Web, enumerate_greedy, solve_exact, str
 from grogweb.graphs import GraphError, digraph_to_json, make_digraph, make_ugraph, ugraph_to_json
 from grogweb.jaco import JACO_ORDER_CAP, build_jaco, check_jaconian, jaco_table, jaco_to_json
 from grogweb.webs import (
+    automorphism_count,
     complete_graph,
     cycle_graph,
     enumerate_webs,
@@ -373,6 +374,21 @@ class TestEnumerateCommand:
         monkeypatch.setattr("grogweb.webs.solve_exact", counting)
         assert cli.main(["enumerate", *argv]) == 0
         assert len(calls) == len(set(calls)) == solves
+
+    @pytest.mark.parametrize("dedup", [[], ["--dedup"]], ids=["raw", "dedup"])
+    def test_one_automorphism_search(self, monkeypatch, capsys, dedup):
+        # the raw stream's |Aut| is n! 2^eps over the dedup histogram's total
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return automorphism_count(g)
+
+        monkeypatch.setattr("grogweb.webs.automorphism_count", counting)
+        assert cli.main(["enumerate", "--graph", "cycle", "--n", "5", *dedup]) == 0
+        assert calls == [cycle_graph(5)]
+        count = 384 if dedup else 3840
+        assert f"webs enumerated: {count}{' (dedup)' * bool(dedup)}" in capsys.readouterr().out
 
     def test_file_base(self, tmp_path):
         path = tmp_path / "base.json"

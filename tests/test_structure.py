@@ -4,7 +4,8 @@ outside the greedy counter, no n! indexing walk outside web
 enumeration, no direction-mask loop outside `graphs.orientations`, no
 use of the solver gadget outside `engine._BMatching`, no read of a cap
 outside the definitions `CAP_READERS` lists for it, no import inside a
-library function, and no `dataclasses` import.
+library function, no `dataclasses` import, and no graph-level value in
+the harness but through its one memo of `grog_and_distribution`.
 
 Parses the package and test sources with `ast`, so the rules hold for
 code that is never executed as well.
@@ -95,13 +96,13 @@ def cap_parameters(tree: ast.AST) -> list[str]:
     return found
 
 
-def indexing_callers(tree: ast.Module, module: str) -> list[str]:
-    """`module.name` of each top-level definition that calls `indexings`."""
+def callers(tree: ast.Module, module: str, name: str = "indexings") -> list[str]:
+    """`module.name` of each top-level definition that calls `name`."""
     return [
         f"{module}.{getattr(top, 'name', '<module>')}"
         for top in tree.body
         for node in ast.walk(top)
-        if isinstance(node, ast.Call) and _callee_name(node.func) == "indexings"
+        if isinstance(node, ast.Call) and _callee_name(node.func) == name
     ]
 
 
@@ -237,8 +238,8 @@ def test_no_cap_parameters(path):
 
 def test_only_web_enumeration_walks_indexings():
     # graph-level values walk label placements, not the n! indexings
-    callers = [c for path in SRC_FILES for c in indexing_callers(_parse(path), path.stem)]
-    assert callers == ["webs.enumerate_webs"]
+    found = [c for path in SRC_FILES for c in callers(_parse(path), path.stem)]
+    assert found == ["webs.enumerate_webs"]
 
 
 def test_only_orientations_walks_direction_masks():
@@ -274,6 +275,28 @@ def test_no_imports_inside_library_functions(path):
 @pytest.mark.parametrize("path", SRC_FILES, ids=lambda p: p.name)
 def test_no_dataclasses_import(path):
     assert banned_imports(_parse(path)) == []
+
+
+def imported_names(tree: ast.AST) -> set[str]:
+    """The last dotted part of each name that an import statement imports,
+    whatever name it binds."""
+    return {
+        alias.name.split(".")[-1]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+# The harness reads g(G) and its histogram for five claims; one memo walks
+# each base's label placements once for all of them.
+WALK_ONCE = {"grog_number", "residual_distribution"}
+
+
+def test_harness_walks_each_base_once():
+    tree = _parse(ROOT / "src" / "grogweb" / "claims.py")
+    assert gadget_users(tree, "claims", WALK_ONCE) == []
+    assert imported_names(tree).isdisjoint(WALK_ONCE)
+    assert callers(tree, "claims", "grog_and_distribution") == ["claims.run_claims"]
 
 
 def test_cli_holds_no_claim_id():
@@ -326,8 +349,24 @@ def test_guard_catches_violations():
         "def fine(g):\n"
         "    return indexings\n"
     )
-    assert indexing_callers(tree, "webs") == [
+    assert callers(tree, "webs") == [
         "webs.enumerate_webs", "webs.solve_all", "webs.<module>",
+    ]
+    tree = ast.parse(
+        "from .webs import grog_and_distribution, grog_number as gn\n"
+        "import grogweb.webs\n"
+        "def check(n, values=grog_and_distribution):\n"
+        "    return values(n), webs.residual_distribution(n)\n"
+        "def run_claims(ids):\n"
+        "    def values(base):\n"
+        "        return grog_and_distribution(base)\n"
+        "def sneak(g):\n"
+        "    return webs.grog_and_distribution(g)\n"
+    )
+    assert gadget_users(tree, "claims", WALK_ONCE) == ["claims.check"]
+    assert imported_names(tree) == {"grog_and_distribution", "grog_number", "webs"}
+    assert callers(tree, "claims", "grog_and_distribution") == [
+        "claims.run_claims", "claims.sneak",
     ]
     tree = ast.parse(
         "def orientations(g):\n"
