@@ -13,9 +13,10 @@ each with the runner that checks them all from a `HarnessConfig` and two
 memos local to one `run_claims` call, both keyed by base graph: the
 deduplicated webs of each base, enumerated once and shared by the web
 corpus and the web-count check, and the graph-level values of each base,
-its grog number and residual histogram from one walk of its label
-placements, shared by the path, cycle and divergence checks (P_3..P_5
-serve all three).  A group runs once when any of its claims is requested.
+its grog number, residual histogram and |Aut| from one walk of its label
+placements, shared by the path, cycle, divergence and web-count checks
+(P_3 and P_4 serve all four).  A group runs once when any of its claims
+is requested.
 
 Two groups check seeded random maximal strategies: the terminal-state
 laws (lemma-2.1, lemma-2.2 and lemma-2.3, one pass over shared runs) and
@@ -48,7 +49,6 @@ from .graphs import Digraph, GraphError, UGraph, digraph_to_json
 from .jaco import build_jaco, check_jaconian, jaco_table, max_degree_vertex
 from .webs import (
     GraphGrogResult,
-    automorphism_count,
     check_web_order,
     complete_graph,
     cycle_graph,
@@ -61,8 +61,9 @@ from .webs import (
 
 # base graph -> its webs, as enumerate_webs(base, dedup=True) yields them
 Webs = Callable[[UGraph], list[Web]]
-# base graph -> its grog number and residual histogram, as grog_and_distribution gives them
-Values = Callable[[UGraph], tuple[GraphGrogResult, dict[int, int]]]
+# a base's grog number, residual histogram and |Aut|, as grog_and_distribution gives them
+GraphValues = tuple[GraphGrogResult, dict[int, int], int]
+Values = Callable[[UGraph], GraphValues]
 
 ASSERT = "assert"
 REPORT_ONLY = "report-only"
@@ -93,11 +94,12 @@ CLAIM_INFO = {
 
 # (claim ids, runner(config, webs, values) -> their reports), in report order;
 # webs(base) is the deduplicated webs of base, enumerated once per base, which
-# _corpus extends with random webs, and values(base) its grog number and
-# residual histogram, from one placement walk per base.  The random runs of
+# _corpus extends with random webs, and values(base) its grog number, residual
+# histogram and |Aut|, from one placement walk per base.  The random runs of
 # the terminal-state laws come from seed + 2 and those of obs-1/obs-2 from
-# seed + 3; def-2.2's random webs come from seed + 4.  seed + 1 is left undrawn, so every other stream keeps the
-# number its pinned runs and reports were drawn with.
+# seed + 3; def-2.2's random webs come from seed + 4.  seed + 1 is left
+# undrawn, so every other stream keeps the number its pinned runs and reports
+# were drawn with.
 _GROUPS = (
     (("thm-1.1",), lambda c, webs, values: [check_competition_closed_form(c.n_max_thm11)]),
     (("lemma-2.1", "lemma-2.2", "lemma-2.3"), lambda c, webs, values: check_terminal_state_laws(
@@ -111,7 +113,7 @@ _GROUPS = (
         _corpus(webs, c.seed, c.random_webs), c.runs_per_web, c.seed + 3)),
     (("def-2.2-equivalence",), lambda c, webs, values: [check_greedy_equivalence(
         _corpus(webs, c.seed + 4, c.random_greedy_webs), c.arc_cap)]),
-    (("web-count",), lambda c, webs, values: [check_web_count(webs)]),
+    (("web-count",), lambda c, webs, values: [check_web_count(webs, values)]),
 )
 
 CLAIM_ORDER = [cid for ids, _ in _GROUPS for cid in ids]
@@ -152,6 +154,11 @@ def _report(claim_id: str, instances: int, failures: list, values: dict) -> Clai
 
 def _web_json(web: Web) -> dict:
     return digraph_to_json(web.digraph)
+
+
+def _run_failure(web: Web, strategy, **fields) -> dict:
+    """A random run's failure record: its web, its strategy, then `fields`."""
+    return {"web": _web_json(web), "strategy": strategy_to_json(strategy), **fields}
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +248,15 @@ def check_terminal_state_laws(
         pops = result.final_state.pop
         # populations are never negative, so any() finds a positive one
         if web.n >= 2 and not (0 in pops and any(pops)):
-            exit_failures.append({
-                "web": _web_json(web),
-                "strategy": strategy_to_json(strategy),
-                "final_population": list(pops),
-            })
+            exit_failures.append(_run_failure(web, strategy, final_population=list(pops)))
         total = web.total_population
         if result.residual % 2 != total % 2:
-            parity_failures.append({
-                "web": _web_json(web),
-                "strategy": strategy_to_json(strategy),
-                "residual": result.residual,
-                "initial_total": total,
-            })
+            parity_failures.append(_run_failure(
+                web, strategy, residual=result.residual, initial_total=total))
         if 2 * result.predation_count != total - result.residual:
-            count_failures.append({
-                "web": _web_json(web),
-                "strategy": strategy_to_json(strategy),
-                "predation_count": result.predation_count,
-                "residual": result.residual,
-                "initial_total": total,
-            })
+            count_failures.append(_run_failure(
+                web, strategy, predation_count=result.predation_count,
+                residual=result.residual, initial_total=total))
     playable = sum(web.n >= 2 for web in corpus)
     values = {"webs": len(corpus), "runs_per_web": runs}
     return (
@@ -273,17 +268,16 @@ def check_terminal_state_laws(
 
 
 def check_greedy_equivalence(corpus: list[Web], arc_cap: int) -> ClaimReport:
-    """def-2.2-equivalence: greedy minimum equals the exact grog number."""
+    """def-2.2-equivalence: greedy minimum equals the exact grog number,
+    each computed once per distinct web; a repeated web repeats its failure."""
     failures = []
+    checked: dict[Web, tuple[int, int]] = {}
     for web in corpus:
-        exact = solve_exact(web)
-        greedy = enumerate_greedy(web, cap=arc_cap)
-        if exact.grog != greedy.min_residual:
-            failures.append({
-                "web": _web_json(web),
-                "exact": exact.grog,
-                "greedy_min": greedy.min_residual,
-            })
+        if web not in checked:
+            checked[web] = solve_exact(web).grog, enumerate_greedy(web, cap=arc_cap).min_residual
+        exact, greedy_min = checked[web]
+        if exact != greedy_min:
+            failures.append({"web": _web_json(web), "exact": exact, "greedy_min": greedy_min})
     values = {"webs": len(corpus)}
     return _report("def-2.2-equivalence", len(corpus), failures, values)
 
@@ -452,24 +446,16 @@ def check_termination_and_determinism(
     for web, strategy, first in _random_runs(corpus, runs, seed):
         eps = len(web.digraph.arcs)
         if first.predation_count > eps or legal_predations(first.final_state):
-            term_failures.append({
-                "web": _web_json(web),
-                "strategy": strategy_to_json(strategy),
-                "predation_count": first.predation_count,
-                "arcs": eps,
-            })
+            term_failures.append(_run_failure(
+                web, strategy, predation_count=first.predation_count, arcs=eps))
         second = run_strategy(web, strategy)
         if (
             second.residual != first.residual
             or second.used_arcs != first.used_arcs
             or second.final_state.pop != first.final_state.pop
         ):
-            det_failures.append({
-                "web": _web_json(web),
-                "strategy": strategy_to_json(strategy),
-                "first_residual": first.residual,
-                "second_residual": second.residual,
-            })
+            det_failures.append(_run_failure(
+                web, strategy, first_residual=first.residual, second_residual=second.residual))
     instances = len(corpus) * runs
     values = {"webs": len(corpus), "runs_per_web": runs}
     return (
@@ -478,28 +464,28 @@ def check_termination_and_determinism(
     )
 
 
-def check_web_count(webs: Webs) -> ClaimReport:
+def check_web_count(webs: Webs, values: Values = grog_and_distribution) -> ClaimReport:
     """web-count: dedup count vs the half-formula.
 
     Equality is asserted only for bases with exactly 2 automorphisms;
     other group sizes are recorded with a mismatch flag, since the
-    half-formula over-counts the identification for them.
+    half-formula over-counts the identification for them.  |Aut| is the
+    backtracking search's, read off `values`, not the dedup count.
     """
     bases = _named_bases() + [("K2", path_graph(2))]
-    failures = []
-    values: dict = {"bases": {}}
+    failures, observed = [], {}
     for name, base in bases:
         formula = web_count_formula(base.n, len(base.edges))
         dedup = len(webs(base))
-        aut = automorphism_count(base)
+        aut = values(base)[2]
         entry = {"formula": formula, "dedup": dedup, "aut": aut}
         if aut == 2:
             if dedup != formula:
                 failures.append({"base": name, **entry})
         else:
             entry["formula_mismatch"] = dedup != formula
-        values["bases"][name] = entry
-    return _report("web-count", len(bases), failures, values)
+        observed[name] = entry
+    return _report("web-count", len(bases), failures, {"bases": observed})
 
 
 def check_competition_closed_form(n_max: int) -> ClaimReport:
@@ -567,14 +553,14 @@ def run_claims(claim_ids: list[str], config: HarnessConfig) -> dict:
         raise KeyError(f"unknown claim id(s): {', '.join(unknown)}")
     wanted = set(claim_ids)
     deduped: dict[UGraph, list[Web]] = {}
-    walked: dict[UGraph, tuple[GraphGrogResult, dict[int, int]]] = {}
+    walked: dict[UGraph, GraphValues] = {}
 
     def webs(base: UGraph) -> list[Web]:
         if base not in deduped:
             deduped[base] = _dedup_webs(base)
         return deduped[base]
 
-    def values(base: UGraph) -> tuple[GraphGrogResult, dict[int, int]]:
+    def values(base: UGraph) -> GraphValues:
         if base not in walked:
             walked[base] = grog_and_distribution(base)
         return walked[base]

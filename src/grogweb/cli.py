@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from itertools import chain
 
@@ -204,10 +203,9 @@ def cmd_enumerate(args) -> int:
         raise GraphError("csv output needs --distribution")
     # grog_and_distribution checks the base before anything is counted; one walk
     # of the label placements gives both graph-level values.  The raw stream
-    # repeats each web |Aut| times, and the histogram sums to n! 2^eps / |Aut|
-    (grog, witness, _), histogram = grog_and_distribution(base)
+    # repeats each web |Aut| times
+    (grog, witness, _), histogram, aut = grog_and_distribution(base)
     formula = web_count_formula(base.n, len(base.edges))
-    aut = (math.factorial(base.n) << len(base.edges)) // sum(histogram.values())
     distribution = {r: c * (1 if args.dedup else aut) for r, c in histogram.items()}
     web_count = sum(distribution.values())
     # only the greedy counts depend on orientation, so only --distribution

@@ -241,15 +241,15 @@ def grog_number(g: UGraph) -> GraphGrogResult:
     return _walk(g)[0]
 
 
-def grog_and_distribution(g: UGraph) -> tuple[GraphGrogResult, dict[int, int]]:
-    """grog_number(g) and residual_distribution(g) from one walk, so each
-    distinct placement web is solved once for both."""
+def grog_and_distribution(g: UGraph) -> tuple[GraphGrogResult, dict[int, int], int]:
+    """grog_number(g), residual_distribution(g) and the automorphism_count(g)
+    that scales it, from one walk: each distinct placement web is solved once."""
     result, counts = _walk(g)
     # each placement stands for the same number of indexings, each labelled
     # edge set arises from |Aut(g)| indexings, and each has 2^eps orientations
     scale = (math.factorial(g.n) // counts.total()) << len(g.edges)
     aut = automorphism_count(g)
-    return result, {grog: count * scale // aut for grog, count in sorted(counts.items())}
+    return result, {grog: count * scale // aut for grog, count in sorted(counts.items())}, aut
 
 
 def residual_distribution(g: UGraph) -> dict[int, int]:

@@ -14,14 +14,16 @@ _spec.loader.exec_module(bench_pairs)
 END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "items_per_s", "better": "higher"}]
 
 
-def result(wall, items, correct=True):
-    return {"correct": correct, "metrics": {"wall_s": {"value": wall, "unit": "s"},
-                                            "items_per_s": {"value": items, "unit": "1/s"}}}
+def result(wall, items, correct=True, passes=20):
+    return {"correct": correct, "passes": passes,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "items_per_s": {"value": items, "unit": "1/s"}}}
 
 
 def test_summary_medians_quartiles_and_wins():
     walls = [(0.30, 0.27), (0.32, 0.28), (0.29, 0.29), (0.35, 0.36), (0.31, 0.26)]
-    pairs = [{"parent": result(p, 1 / p), "change": result(c, 1 / c, correct=i != 1)}
+    pairs = [{"parent": result(p, 1 / p, passes=30 + i),
+              "change": result(c, 1 / c, correct=i != 1, passes=40 - i)}
              for i, (p, c) in enumerate(walls)]
     summary = bench_pairs.summarize(pairs, END_TO_END)
     wall = summary["wall_s"]
@@ -35,6 +37,7 @@ def test_summary_medians_quartiles_and_wins():
     assert wall["gap_exceeds_parent_iqr"] is True
     # higher is better: the same pairs won, read the other way round
     assert summary["items_per_s"]["change_better_pairs"] == 3
+    assert summary["passes"] == {"parent": 32, "change": 38}
     assert summary["failed_runs"] == 1
 
 
@@ -45,6 +48,17 @@ def test_summary_of_one_pair_and_a_spread_wider_than_the_gap():
     walls = [(0.2, 0.25), (0.4, 0.35), (0.3, 0.29)]
     pairs = [{"parent": result(p, 1 / p), "change": result(c, 1 / c)} for p, c in walls]
     assert bench_pairs.summarize(pairs, END_TO_END)["wall_s"]["gap_exceeds_parent_iqr"] is False
+    pairs[1]["change"]["passes"] = None
+    assert bench_pairs.summarize(pairs, END_TO_END)["passes"] == {"parent": 20, "change": None}
+
+
+def test_summary_line_fields():
+    line = ("perfbench: workload=strategy-replay seed=1 trace=0 smoke=0 passes=31 untraced, "
+            "0 traced; checks 62, failed 0; unscaled wall 0.7012 s, speed factor 1.0234")
+    assert bench_pairs.summary_fields(line) == {
+        "passes": 31, "unscaled_wall_s": 0.7012, "speed_factor": 1.0234}
+    assert bench_pairs.summary_fields('{"correct": true}') == {
+        "passes": None, "unscaled_wall_s": None, "speed_factor": None}
 
 
 def test_imports_nothing_of_the_package():

@@ -149,8 +149,8 @@ class TestPathAndCycle:
         assert solved == [3, 4, 5, 6]
 
     def test_run_all_solves_each_family_order_once(self, monkeypatch):
-        # the cycle and divergence groups read the path group's memo: each
-        # of P_3..P_6, C_3..C_6, star_4 and K_4 is walked once
+        # the cycle, divergence and web-count groups read the path group's
+        # memo: each of K_2, P_3..P_6, C_3..C_6, star_4 and K_4 is walked once
         solved = []
 
         def counting(base):
@@ -159,11 +159,11 @@ class TestPathAndCycle:
 
         monkeypatch.setattr(claims, "grog_and_distribution", counting)
         run_all()
-        assert sorted(base.n for base in solved) == [3, 3, 4, 4, 4, 4, 5, 5, 6, 6]
-        assert len(set(solved)) == len(solved) == 10
+        assert sorted(base.n for base in solved) == [2, 3, 3, 4, 4, 4, 4, 5, 5, 6, 6]
+        assert len(set(solved)) == len(solved) == 11
 
     def test_run_all_solves_each_placement_web_once(self, monkeypatch):
-        # one walk per base solves each of the 10 bases' 51 distinct
+        # one walk per base solves each of the 11 bases' 52 distinct
         # placement webs once
         solved = []
 
@@ -173,7 +173,19 @@ class TestPathAndCycle:
 
         monkeypatch.setattr(webs, "solve_exact", counting)
         run_all()
-        assert len(set(solved)) == len(solved) == 51
+        assert len(set(solved)) == len(solved) == 52
+
+    def test_run_all_searches_each_base_once(self, monkeypatch):
+        # web-count reads |Aut| off the memo that scaled each base's histogram
+        searched, search = [], webs.automorphism_count
+
+        def counting(g):
+            searched.append(g)
+            return search(g)
+
+        monkeypatch.setattr(webs, "automorphism_count", counting)
+        run_all()
+        assert len(set(searched)) == len(searched) == 11
 
     def test_family_memo_is_keyed_per_order(self, monkeypatch):
         # a longer cycle range solves only the paths the path group left out
@@ -411,8 +423,8 @@ class TestHarnessSanity:
 
     def test_path_recursion_fault_is_caught(self, monkeypatch):
         def bent(g):
-            result, hist = webs.grog_and_distribution(g)
-            return (result._replace(grog=8) if g == path_graph(5) else result), hist
+            result, hist, aut = webs.grog_and_distribution(g)
+            return (result._replace(grog=8) if g == path_graph(5) else result), hist, aut
 
         monkeypatch.setattr(claims, "grog_and_distribution", bent)
         report = failed_claims(["cor-2.5"])["cor-2.5"]
@@ -428,8 +440,8 @@ class TestHarnessSanity:
 
         def bent(g):
             walked.append(g)
-            result, hist = webs.grog_and_distribution(g)
-            return result, ({4: sum(hist.values())} if g == path_graph(4) else hist)
+            result, hist, aut = webs.grog_and_distribution(g)
+            return result, ({4: sum(hist.values())} if g == path_graph(4) else hist), aut
 
         monkeypatch.setattr(claims, "grog_and_distribution", bent)
         by_id = failed_claims(["prop-2.4", "thm-2.6"])
@@ -512,11 +524,13 @@ class TestHarnessSanity:
         ]
 
     def test_web_count_fault_is_caught(self, monkeypatch):
-        # C3 has 6 automorphisms; read as 2, its 8 webs must match the half-formula
+        # C3 has 6 automorphisms; read off the memo as 2, its 8 webs must
+        # match the half-formula
         def bent(g):
-            return 2 if g == cycle_graph(3) else webs.automorphism_count(g)
+            result, hist, aut = webs.grog_and_distribution(g)
+            return result, hist, 2 if g == cycle_graph(3) else aut
 
-        monkeypatch.setattr(claims, "automorphism_count", bent)
+        monkeypatch.setattr(claims, "grog_and_distribution", bent)
         report = failed_claims(["web-count"])["web-count"]
         assert report["status"] == "fail"
         assert report["failures"] == [{"base": "C3", "formula": 24, "dedup": 8, "aut": 2}]

@@ -377,7 +377,7 @@ class TestEnumerateCommand:
 
     @pytest.mark.parametrize("dedup", [[], ["--dedup"]], ids=["raw", "dedup"])
     def test_one_automorphism_search(self, monkeypatch, capsys, dedup):
-        # the raw stream's |Aut| is n! 2^eps over the dedup histogram's total
+        # the raw stream's |Aut| is the one that scaled the dedup histogram
         calls = []
 
         def counting(g):

@@ -22,6 +22,7 @@ from grogweb.graphs import (
     underlying,
 )
 from grogweb.jaco import build_jaco
+from grogweb.webs import complete_graph, star_graph
 
 
 class TestMakeDigraph:
@@ -53,6 +54,23 @@ class TestMakeDigraph:
             make_digraph(-1, [])
         with pytest.raises(GraphError):
             make_digraph("3", [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_digraph(3, [(1, "2")]), "vertex index must be an integer, got '2'"),
+    (lambda: make_digraph(3, [(1, 2, 3)]), "arc must be a (tail, head) pair, got (1, 2, 3)"),
+    (lambda: make_ugraph(-1, []), "vertex count must be a non-negative integer, got -1"),
+    (lambda: make_ugraph(3, [5]), "edge must be a (u, v) pair, got 5"),
+    (lambda: is_connected(make_ugraph(0, [])), "connectivity needs at least one vertex"),
+    (lambda: ugraph_from_json({"n": 2, "edges": "nope"}), '"edges" must be a list of [u, v] pairs'),
+    (lambda: star_graph(1), "a star needs n >= 2, got 1"),
+    (lambda: complete_graph(1), "a complete graph needs n >= 2, got 1"),
+], ids=["vertex-type", "arc-shape", "ugraph-count", "edge-shape", "connected-empty",
+        "edges-json", "star-order", "complete-order"])
+def test_graph_error_messages(call, message):
+    with pytest.raises(GraphError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 class TestMakeUGraph:

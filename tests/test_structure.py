@@ -287,9 +287,9 @@ def imported_names(tree: ast.AST) -> set[str]:
     }
 
 
-# The harness reads g(G) and its histogram for five claims; one memo walks
-# each base's label placements once for all of them.
-WALK_ONCE = {"grog_number", "residual_distribution"}
+# The harness reads g(G), its histogram and |Aut| for six claims; one memo
+# walks each base's label placements and searches its |Aut| once for all of them.
+WALK_ONCE = {"grog_number", "residual_distribution", "automorphism_count"}
 
 
 def test_harness_walks_each_base_once():

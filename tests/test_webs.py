@@ -326,7 +326,7 @@ class TestAgainstOracle:
         assert result.web == web
         assert result.strategy == strategy
         assert residual_distribution(g) == hist
-        assert grog_and_distribution(g) == (result, hist)
+        assert grog_and_distribution(g) == (result, hist, oracle_automorphism_count(g))
 
 
 class TestAgainstPerWebSolves:

@@ -14,12 +14,14 @@ other, and alternates which side runs first from pair to pair.  Each
 workload named by --others gets the same pairs, in `other_workloads`.
 
 The record holds the workload, the command, both commits, the machine, the
-method, every pair (each run's JSON result plus the unscaled wall time and
-speed factor of its summary line) and a summary per end-to-end metric:
-each side's median and quartiles (`statistics.quantiles(n=4,
-method="inclusive")`), the change/parent ratio of the medians, and the
-pairs the change won (ties count for neither).  The file is rewritten after
-every pair, so an interrupted run keeps the pairs it finished.
+method, every pair (each run's JSON result plus the pass count, unscaled
+wall time and speed factor of its summary line) and a summary per
+end-to-end metric: each side's median and quartiles
+(`statistics.quantiles(n=4, method="inclusive")`), the change/parent ratio
+of the medians, and the pairs the change won (ties count for neither).
+The summary also holds each side's median pass count, on which a
+workload's `peak_rss_mb` can depend.  The file is rewritten after every
+pair, so an interrupted run keeps the pairs it finished.
 
 Standard library only; it imports nothing of the benchmarked package.
 """
@@ -36,7 +38,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-SUMMARY_LINE = re.compile(r"unscaled wall ([0-9.]+) s, speed factor ([0-9.]+)")
+SUMMARY_LINE = re.compile(
+    r"passes=([0-9]+) .*unscaled wall ([0-9.]+) s, speed factor ([0-9.]+)")
+SUMMARY_FIELDS = ("passes", "unscaled_wall_s", "speed_factor")
+
+
+def summary_fields(line: str) -> dict:
+    """The pass count, unscaled wall time and speed factor of run.py's
+    summary line, each None when the line does not match."""
+    found = SUMMARY_LINE.search(line)
+    if not found:
+        return dict.fromkeys(SUMMARY_FIELDS)
+    return dict(zip(SUMMARY_FIELDS, (int(found[1]), float(found[2]), float(found[3]))))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -50,7 +63,8 @@ def quartiles(values: list[float]) -> dict:
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the ratio of
     the medians, the pairs the change won and whether the gap between the
-    medians exceeds the parent's interquartile range.
+    medians exceeds the parent's interquartile range; then each side's
+    median pass count (None when a run's count is unknown).
 
     `pairs` holds {"parent": result, "change": result} with perfbench's
     result objects; `end_to_end` holds BENCHMARK.json's {"name", "better"}.
@@ -70,6 +84,9 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "pairs": len(pairs),
             "gap_exceeds_parent_iqr": gap > sides["parent"]["q3"] - sides["parent"]["q1"],
         }
+    counts = {side: [p[side]["passes"] for p in pairs] for side in ("parent", "change")}
+    summary["passes"] = {
+        side: None if None in c else statistics.median(c) for side, c in counts.items()}
     summary["failed_runs"] = sum(not p[side]["correct"] for p in pairs for side in ("parent", "change"))
     return summary
 
@@ -97,11 +114,7 @@ def run_once(root: Path, command: list[str], workload: str, seed: int, seconds: 
     if proc.returncode != 0:
         raise SystemExit(f"{root}: {' '.join(argv)} exited {proc.returncode}: {proc.stderr[-2000:]}")
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
-    found = SUMMARY_LINE.search(lines[-2]) if len(lines) > 1 else None
-    result["unscaled_wall_s"], result["speed_factor"] = (
-        (float(found[1]), float(found[2])) if found else (None, None))
-    return result
+    return {**json.loads(lines[-1]), **summary_fields(lines[-2] if len(lines) > 1 else "")}
 
 
 def main(argv=None) -> int:
