@@ -48,7 +48,6 @@ from .engine import (
 from .graphs import Digraph, GraphError, UGraph, digraph_to_json
 from .jaco import build_jaco, check_jaconian, jaco_table, max_degree_vertex
 from .webs import (
-    GraphGrogResult,
     check_web_order,
     complete_graph,
     cycle_graph,
@@ -61,8 +60,9 @@ from .webs import (
 
 # base graph -> its webs, as enumerate_webs(base, dedup=True) yields them
 Webs = Callable[[UGraph], list[Web]]
-# a base's grog number, residual histogram and |Aut|, as grog_and_distribution gives them
-GraphValues = tuple[GraphGrogResult, dict[int, int], int]
+# a base's grog number, witness web, residual histogram and |Aut|, as
+# grog_and_distribution gives them
+GraphValues = tuple[int, Web, dict[int, int], int]
 Values = Callable[[UGraph], GraphValues]
 
 ASSERT = "assert"
@@ -291,7 +291,7 @@ def _family_grogs(what: str, family, n_max: int, values: Values) -> dict[int, in
     if n_max < 3:
         raise GraphError(f"{what} needs n_max >= 3, got {n_max}")
     check_web_order(n_max)
-    return {n: values(family(n))[0].grog for n in range(3, n_max + 1)}
+    return {n: values(family(n))[0] for n in range(3, n_max + 1)}
 
 
 def check_path_relations(
@@ -311,7 +311,7 @@ def check_path_relations(
             })
     per_web = {}
     for n in range(3, min(5, n_max) + 1):
-        hist = values(path_graph(n))[1]
+        hist = values(path_graph(n))[2]
         per_web[f"P{n}"] = {str(v): count for v, count in hist.items()}
     deltas = {str(n + 1): g[n + 1] - g[n] for n in range(3, n_max)}
     observed = {"per_web_grog": per_web, "extension_deltas": deltas}
@@ -379,7 +379,7 @@ def check_orientation_divergence(values: Values = grog_and_distribution) -> Clai
     with distinct grog numbers, read off its residual histogram."""
     observed, failures = {}, []
     for name, base in divergence_bases():
-        distinct = list(values(base)[1])
+        distinct = list(values(base)[2])
         observed[name] = {"min": distinct[0], "max": distinct[-1], "distinct": distinct}
         if len(distinct) == 1:
             failures.append({"base": name, "grog": distinct[0]})
@@ -477,7 +477,7 @@ def check_web_count(webs: Webs, values: Values = grog_and_distribution) -> Claim
     for name, base in bases:
         formula = web_count_formula(base.n, len(base.edges))
         dedup = len(webs(base))
-        aut = values(base)[2]
+        aut = values(base)[3]
         entry = {"formula": formula, "dedup": dedup, "aut": aut}
         if aut == 2:
             if dedup != formula:

@@ -204,7 +204,7 @@ def cmd_enumerate(args) -> int:
     # grog_and_distribution checks the base before anything is counted; one walk
     # of the label placements gives both graph-level values.  The raw stream
     # repeats each web |Aut| times
-    (grog, witness, _), histogram, aut = grog_and_distribution(base)
+    grog, witness, histogram, aut = grog_and_distribution(base)
     formula = web_count_formula(base.n, len(base.edges))
     distribution = {r: c * (1 if args.dedup else aut) for r, c in histogram.items()}
     web_count = sum(distribution.values())
@@ -300,15 +300,13 @@ def cmd_verify(args) -> int:
         config = config._replace(**dict.fromkeys(fields, args.n_max))
     report = claims.run_claims(ids, config)
 
-    json_text = _json_text(report)
+    # with --out the JSON report goes to the file and the summary to stdout
+    text = _json_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json_text)
-        sys.stdout.write(_verify_summary(report))
-    elif args.format == "json":
-        sys.stdout.write(json_text)
-    else:
-        sys.stdout.write(_verify_summary(report))
+        _emit(text, args.out)
+    if args.out or args.format != "json":
+        text = _verify_summary(report)
+    _emit(text, None)
     return EXIT_OK if report["status"] == "pass" else EXIT_FAIL
 
 

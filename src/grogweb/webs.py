@@ -23,7 +23,10 @@ meets at most its degree of arcs, so a label of at least the maximum
 degree D never binds, and only where labels 1..D-1 sit changes the
 value.  Graph-level values therefore cost one exact solve per distinct
 web of the placements of those labels, at most n!/(n-D+1)! (star_8: 7),
-not one per indexing (n!) or per web (n! * 2^eps).
+not one per indexing (n!) or per web (n! * 2^eps).  The harness and the
+`enumerate` command make just those solves, through `grog_and_distribution`
+and its (g(G), witness web, histogram, |Aut|); `grog_number` makes one
+more, of the witness web, for its witness strategy.
 """
 
 from __future__ import annotations
@@ -33,13 +36,12 @@ import math
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .engine import SolveResult, Strategy, Web, solve_exact
+from .engine import Strategy, Web, solve_exact
 from .graphs import (
     INDEXING_CAP,
     CapExceeded,
     Digraph,
     GraphError,
-    Indexing,
     UGraph,
     indexings,
     is_connected,
@@ -179,30 +181,6 @@ def automorphism_count(g: UGraph) -> int:
     return count
 
 
-def _placements(g: UGraph) -> Iterator[tuple[Indexing, Web, int, SolveResult | None]]:
-    """Each placement of labels 1..k, k = max(D - 1, 0) for max degree D,
-    with its web's grog number, and the web's SolveResult on its first
-    placement only (None after).
-
-    Each placement gives the other labels, in ascending order, to the free
-    positions in position order: the lexicographically least indexing with
-    that placement.  Its mask-0 web, as `enumerate_webs` emits it, is solved
-    once per distinct web (a star's placements share one per center label).
-    """
-    _check_base(g)
-    k = max(max(g.degree(v) for v in range(1, g.n + 1)) - 1, 0)
-    grogs: dict[Web, int] = {}
-    for placed in itertools.permutations(range(1, g.n + 1), k):
-        rest = iter(range(k + 1, g.n + 1))
-        position = {p: label for label, p in enumerate(placed, 1)}
-        labels = tuple(position.get(p) or next(rest) for p in range(1, g.n + 1))
-        web = Web(Digraph(g.n, tuple(sorted((labels[p - 1], labels[q - 1]) for p, q in g.edges))))
-        result = None if web in grogs else solve_exact(web)
-        if result is not None:
-            grogs[web] = result.grog
-        yield labels, web, grogs[web], result
-
-
 class GraphGrogResult(NamedTuple):
     """Graph-level grog number with its witness web and strategy."""
 
@@ -211,47 +189,60 @@ class GraphGrogResult(NamedTuple):
     strategy: Strategy
 
 
-def _walk(g: UGraph) -> tuple[GraphGrogResult, Counter[int]]:
-    """One walk of the label placements: the graph-level grog number with
-    its witness, and the count of placements at each grog number.
+def _walk(g: UGraph) -> tuple[int, Web, Counter[int]]:
+    """One walk of the placements of labels 1..k, k = max(D - 1, 0) for max
+    degree D: the graph-level grog number, its witness web, and the count of
+    placements at each grog number.
+
+    Each placement gives the other labels, in ascending order, to the free
+    positions in position order: the lexicographically least indexing with
+    that placement.  Its mask-0 web, as `enumerate_webs` emits it, is solved
+    once per distinct web (a star's placements share one per center label),
+    and only its grog number is kept.
 
     The witness is the first optimal web in stream order, with or
     without deduplication: the mask-0 web of the least indexing that
     attains the minimum, since every earlier indexing has a larger value
     in all of its orientations.  That indexing is the least of its
-    placement, so it is the least optimal placement indexing.  Only the
-    solves of webs at the running minimum are kept: a later witness web
-    was at the minimum when it was solved.
+    placement, so it is the least optimal placement indexing.
     """
-    best, kept = (math.inf,), {}  # (grog, labels, web) of the least placement so far
+    _check_base(g)
+    k = max(max(g.degree(v) for v in range(1, g.n + 1)) - 1, 0)
+    grogs: dict[Web, int] = {}
     counts: Counter[int] = Counter()
-    for labels, web, grog, result in _placements(g):
-        counts[grog] += 1
-        if grog < best[0]:
-            kept = {}
-        best = min(best, (grog, labels, web))
-        if result is not None and grog == best[0]:
-            kept[web] = result
-    return GraphGrogResult(best[0], best[2], kept[best[2]].witness), counts
+    best = (math.inf,)  # (grog, labels, web) of the least placement so far
+    for placed in itertools.permutations(range(1, g.n + 1), k):
+        rest = iter(range(k + 1, g.n + 1))
+        position = {p: label for label, p in enumerate(placed, 1)}
+        labels = tuple(position.get(p) or next(rest) for p in range(1, g.n + 1))
+        web = Web(Digraph(g.n, tuple(sorted((labels[p - 1], labels[q - 1]) for p, q in g.edges))))
+        if web not in grogs:
+            grogs[web] = solve_exact(web).grog
+        counts[grogs[web]] += 1
+        best = min(best, (grogs[web], labels, web))
+    return best[0], best[2], counts
 
 
 def grog_number(g: UGraph) -> GraphGrogResult:
     """Minimum grog number over every indexing and orientation of g, with
-    the first optimal web in stream order and its witness strategy."""
-    return _walk(g)[0]
+    the first optimal web in stream order and its witness strategy, from a
+    solve of that web after the walk."""
+    grog, web, _ = _walk(g)
+    return GraphGrogResult(grog, web, solve_exact(web).witness)
 
 
-def grog_and_distribution(g: UGraph) -> tuple[GraphGrogResult, dict[int, int], int]:
-    """grog_number(g), residual_distribution(g) and the automorphism_count(g)
-    that scales it, from one walk: each distinct placement web is solved once."""
-    result, counts = _walk(g)
+def grog_and_distribution(g: UGraph) -> tuple[int, Web, dict[int, int], int]:
+    """The grog number and witness web of grog_number(g), residual_distribution(g)
+    and the automorphism_count(g) that scales it, from one walk: each distinct
+    placement web is solved once, and no witness strategy is made."""
+    grog, web, counts = _walk(g)
     # each placement stands for the same number of indexings, each labelled
     # edge set arises from |Aut(g)| indexings, and each has 2^eps orientations
     scale = (math.factorial(g.n) // counts.total()) << len(g.edges)
     aut = automorphism_count(g)
-    return result, {grog: count * scale // aut for grog, count in sorted(counts.items())}, aut
+    return grog, web, {value: count * scale // aut for value, count in sorted(counts.items())}, aut
 
 
 def residual_distribution(g: UGraph) -> dict[int, int]:
     """Histogram grog number -> web count over the deduplicated webs."""
-    return grog_and_distribution(g)[1]
+    return grog_and_distribution(g)[2]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "items_per_s", "better": "higher"}]
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "items_per_s", "better": "higher", "bound": 0.25}]
 
 
 def result(wall, items, correct=True, passes=20):
@@ -50,6 +52,32 @@ def test_summary_of_one_pair_and_a_spread_wider_than_the_gap():
     assert bench_pairs.summarize(pairs, END_TO_END)["wall_s"]["gap_exceeds_parent_iqr"] is False
     pairs[1]["change"]["passes"] = None
     assert bench_pairs.summarize(pairs, END_TO_END)["passes"] == {"parent": 20, "change": None}
+
+
+# parent walls with an interquartile range of 2 % and of 40 % of the median
+TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98]
+WIDE = [0.6, 1.0, 1.4, 0.8, 1.2]
+
+
+@pytest.mark.parametrize("parent, change, worse_by, within, unresolved", [
+    (TIGHT, [1.10] * 5, 0.10, True, False),
+    (TIGHT, [1.40] * 5, 0.40, False, False),
+    (WIDE, [1.0, 0.9, 1.1, 1.05, 0.95], 0.0, True, True),
+    # every change run beats every parent run, so the wide spread cannot hide it
+    (WIDE, [0.5, 0.55, 0.45, 0.5, 0.5], -0.5, True, False),
+], ids=["within", "outside", "unresolved", "all-better"])
+def test_summary_against_the_bound(parent, change, worse_by, within, unresolved):
+    pairs = [{"parent": result(p, 1 / p), "change": result(c, 1 / c)} for p, c in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    wall = summary["wall_s"]
+    assert wall["bound"] == 0.25
+    assert wall["worse_by"] == pytest.approx(worse_by)
+    assert (wall["within_bound"], wall["unresolved"]) == (within, unresolved)
+    # higher is better: a lower rate reads worse, by its own relative change
+    items = summary["items_per_s"]
+    base, median = 1 / statistics.median(parent), 1 / statistics.median(change)
+    assert items["worse_by"] == pytest.approx((base - median) / base)
+    assert (items["within_bound"], items["unresolved"]) == (within, unresolved)
 
 
 def test_summary_line_fields():

@@ -423,8 +423,8 @@ class TestHarnessSanity:
 
     def test_path_recursion_fault_is_caught(self, monkeypatch):
         def bent(g):
-            result, hist, aut = webs.grog_and_distribution(g)
-            return (result._replace(grog=8) if g == path_graph(5) else result), hist, aut
+            grog, web, hist, aut = webs.grog_and_distribution(g)
+            return (8 if g == path_graph(5) else grog), web, hist, aut
 
         monkeypatch.setattr(claims, "grog_and_distribution", bent)
         report = failed_claims(["cor-2.5"])["cor-2.5"]
@@ -440,8 +440,8 @@ class TestHarnessSanity:
 
         def bent(g):
             walked.append(g)
-            result, hist, aut = webs.grog_and_distribution(g)
-            return result, ({4: sum(hist.values())} if g == path_graph(4) else hist), aut
+            grog, web, hist, aut = webs.grog_and_distribution(g)
+            return grog, web, ({4: sum(hist.values())} if g == path_graph(4) else hist), aut
 
         monkeypatch.setattr(claims, "grog_and_distribution", bent)
         by_id = failed_claims(["prop-2.4", "thm-2.6"])
@@ -527,8 +527,8 @@ class TestHarnessSanity:
         # C3 has 6 automorphisms; read off the memo as 2, its 8 webs must
         # match the half-formula
         def bent(g):
-            result, hist, aut = webs.grog_and_distribution(g)
-            return result, hist, 2 if g == cycle_graph(3) else aut
+            grog, web, hist, aut = webs.grog_and_distribution(g)
+            return grog, web, hist, 2 if g == cycle_graph(3) else aut
 
         monkeypatch.setattr(claims, "grog_and_distribution", bent)
         report = failed_claims(["web-count"])["web-count"]

@@ -364,7 +364,8 @@ class TestEnumerateCommand:
         (["--graph", "star", "--n", "6", "--dedup", "--format", "json"], 5),
     ])
     def test_solves_each_placement_web_once(self, monkeypatch, capsys, argv, solves):
-        # grog_number alone makes as many solves; the distribution rides along
+        # one walk gives g(G), its witness web and the distribution; no
+        # witness strategy is solved for
         calls = []
 
         def counting(web):
@@ -631,6 +632,19 @@ def test_library_errors_exit_with_usage(monkeypatch, capsys, error):
     assert cli.main(["jaco", "--n", "3"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["competition"], "competition needs an input graph file or --jaco N"),
+    (["competition", "FILE", "--check"], "--check needs --jaco N"),
+    (["competition", "FILE", "--closed-form"], "--closed-form needs --jaco N"),
+    (["enumerate", "--graph", "star"], "--graph star needs --n"),
+], ids=["no-input", "check-without-jaco", "closed-form-without-jaco", "family-without-n"])
+def test_usage_errors(capsys, web1_file, argv, message):
+    # FILE is a readable digraph, so only the missing flag is at fault
+    assert cli.main([web1_file if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 # the HarnessConfig field that --n-max sets for each range claim

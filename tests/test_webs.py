@@ -238,26 +238,42 @@ class TestPlacements:
             for graph_level in GRAPH_LEVEL:
                 calls.clear()
                 graph_level(base)
-                assert len(calls) == solves, (base, graph_level.__name__)
+                # grog_number solves its witness web once more, for the strategy
+                extra = graph_level is grog_number
+                assert len(calls) == solves + extra, (base, graph_level.__name__)
                 assert len(set(calls)) == solves
 
-    def test_each_solve_belongs_to_its_web(self):
-        # K4's placement webs are distinct tournaments on one edge set; a
-        # web's solve comes with its first placement, its grog with each
+    def test_each_solve_belongs_to_its_web(self, monkeypatch):
+        # K4's placement webs are distinct tournaments on one edge set; the
+        # walk solves each placement web once and counts its grog number
+        # for every placement of that web
+        calls = []
+
+        def recording(web):
+            calls.append((web, solve_exact(web)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(webs, "solve_exact", recording)
         for base in (complete_graph(4), star_graph(5), cycle_graph(5), path_graph(5), FAN):
-            grogs = {}
-            for _, web, grog, result in webs._placements(base):
-                assert (result is None) == (web in grogs), (base, web)
+            calls.clear()
+            grog, witness, counts = webs._walk(base)
+            solved = dict(calls)
+            assert len(solved) == len(calls), base
+            for web, result in solved.items():
                 # the solve keeps nothing on the web: every placement web
                 # kept would otherwise carry a __dict__ of its own
                 assert vars(web) == {}, (base, web)
-                if result is not None:
-                    replay = run_strategy(web, result.witness, require_exit=True)
-                    assert replay.residual == result.grog == grog, (base, web)
-                    grogs[web] = grog
-                assert grogs[web] == grog, (base, web)
+                replay = run_strategy(web, result.witness, require_exit=True)
+                assert replay.residual == result.grog, (base, web)
+            delta = max(base.degree(v) for v in range(1, base.n + 1))
+            assert counts.total() == math.perm(base.n, delta - 1), base
+            assert set(counts) == {result.grog for result in solved.values()}, base
+            assert grog == min(counts) == solved[witness].grog, base
+            result = grog_number(base)
+            assert (result.grog, result.web) == (grog, witness), base
+            assert run_strategy(witness, result.strategy, require_exit=True).residual == grog
 
-    def test_keeps_only_the_solves_at_the_minimum(self):
+    def test_keeps_one_grog_number_per_web(self):
         # a star on 1 plus the path 2-5: holding every placement web's
         # SolveResult peaked at 0.85 MB (grog_number) and 0.72 MB
         # (residual_distribution), one grog int per web at 0.33 / 0.15 MB
@@ -326,7 +342,8 @@ class TestAgainstOracle:
         assert result.web == web
         assert result.strategy == strategy
         assert residual_distribution(g) == hist
-        assert grog_and_distribution(g) == (result, hist, oracle_automorphism_count(g))
+        aut = oracle_automorphism_count(g)
+        assert grog_and_distribution(g) == (result.grog, result.web, hist, aut)
 
 
 class TestAgainstPerWebSolves:

@@ -18,7 +18,9 @@ method, every pair (each run's JSON result plus the pass count, unscaled
 wall time and speed factor of its summary line) and a summary per
 end-to-end metric: each side's median and quartiles
 (`statistics.quantiles(n=4, method="inclusive")`), the change/parent ratio
-of the medians, and the pairs the change won (ties count for neither).
+of the medians, the pairs the change won (ties count for neither), and
+whether the change's median is inside the metric's `bound` from
+`BENCHMARK.json` or the parent's spread is too wide to tell.
 The summary also holds each side's median pass count, on which a
 workload's `peak_rss_mb` can depend.  The file is rewritten after every
 pair, so an interrupted run keeps the pairs it finished.
@@ -62,27 +64,44 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the ratio of
-    the medians, the pairs the change won and whether the gap between the
-    medians exceeds the parent's interquartile range; then each side's
-    median pass count (None when a run's count is unknown).
+    the medians, the pairs the change won, whether the gap between the
+    medians exceeds the parent's interquartile range, and the regression
+    check against the metric's bound; then each side's median pass count
+    (None when a run's count is unknown).
+
+    The regression check gives `worse_by`, the relative change of the
+    medians in the metric's worse direction (negative when the change
+    reads better), `within_bound` when it is at most the bound, and
+    `unresolved` when the parent's interquartile range is a larger share
+    of its median than the bound, unless every change run beats every
+    parent run: a spread that wide cannot show a regression of the bound's
+    size either way.
 
     `pairs` holds {"parent": result, "change": result} with perfbench's
-    result objects; `end_to_end` holds BENCHMARK.json's {"name", "better"}.
+    result objects; `end_to_end` holds BENCHMARK.json's {"name", "better",
+    "bound"}.
     """
     summary = {}
     for metric in end_to_end:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         sides = {"parent": quartiles(parent), "change": quartiles(change)}
-        gap = abs(sides["change"]["median"] - sides["parent"]["median"])
+        base, median = sides["parent"]["median"], sides["change"]["median"]
+        iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+        worse_by = (median - base if lower else base - median) / base
+        all_better = max(change) < min(parent) if lower else min(change) > max(parent)
         summary[name] = {
             **sides,
-            "change_over_parent": sides["change"]["median"] / sides["parent"]["median"],
+            "change_over_parent": median / base,
             "change_better_pairs": wins,
             "pairs": len(pairs),
-            "gap_exceeds_parent_iqr": gap > sides["parent"]["q3"] - sides["parent"]["q1"],
+            "gap_exceeds_parent_iqr": abs(median - base) > iqr,
+            "bound": bound,
+            "worse_by": worse_by,
+            "within_bound": worse_by <= bound,
+            "unresolved": iqr / base > bound and not all_better,
         }
     counts = {side: [p[side]["passes"] for p in pairs] for side in ("parent", "change")}
     summary["passes"] = {
