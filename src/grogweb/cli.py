@@ -301,12 +301,12 @@ def cmd_verify(args) -> int:
     report = claims.run_claims(ids, config)
 
     # with --out the JSON report goes to the file and the summary to stdout
-    text = _json_text(report)
     if args.out:
-        _emit(text, args.out)
-    if args.out or args.format != "json":
-        text = _verify_summary(report)
-    _emit(text, None)
+        _emit(_json_text(report), args.out)
+    if args.format == "json" and not args.out:
+        _emit(_json_text(report), None)
+    else:
+        _emit(_verify_summary(report), None)
     return EXIT_OK if report["status"] == "pass" else EXIT_FAIL
 
 
