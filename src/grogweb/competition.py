@@ -71,13 +71,13 @@ def competition_graph(d: Digraph) -> CompetitionGraph:
     edges: list[tuple[int, int]] = []
     isolated = []
     for u in vertices[1:]:
-        own = 1 << u
-        if rivals[u] | own == own:
+        # rivals[u] is 0 or holds bit u, so one set bit means no rival
+        if rivals[u].bit_count() <= 1:
             isolated.append(u)
             continue
         # bin() of the bits above u, reversed so byte k is bit u + 1 + k, as 0 or 1
         above = bin(rivals[u] >> (u + 1))[:1:-1].encode().translate(_BITS)
-        edges.extend(zip(repeat(u), compress(vertices[u + 1:], above)))
+        edges.extend(zip(repeat(u), compress(vertices[u + 1:u + 1 + len(above)], above)))
     return CompetitionGraph(UGraph(n, tuple(edges)), tuple(isolated))
 
 

@@ -47,6 +47,10 @@ list and one arc set, collect the consumed arcs, and build the final
 `GrogState` and `RunResult` from them only at the end, in one shared
 helper.  `random_maximal_run` draws each batch from the state of its own
 play, so a drawn strategy comes with its result and needs no replay.
+Each of its picks is drawn from the rng's `getrandbits` alone, the prey
+by a partial Fisher-Yates shuffle: on a predator with at most 21 legal
+heads these are the picks and the bits of the rng's `choice`, `randint`
+and `sample`, whose Python wrappers cost more than the bits.
 `legal_predations` subtracts, from the remaining arcs, the arcs at every
 vertex of population 0, read off a per-web incidence table built once
 per `Web`, and returns what is left as a tuple in `Digraph.arcs` order,
@@ -279,6 +283,20 @@ def run_strategy(web: Web, strategy: Strategy, require_exit: bool = False) -> Ru
     return result
 
 
+def _below(bits, n: int) -> int:
+    """A uniform int in [0, n), n >= 1, from the rng's `getrandbits`.
+
+    Draws n.bit_length() bits until the value is below n, as
+    `random.Random._randbelow_with_getrandbits` does, so it consumes the
+    same bits as `choice`, `randint` and `sample` do for one pick.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_maximal_run(web: Web, rng: random.Random) -> tuple[Strategy, RunResult]:
     """A random maximal strategy and the result of playing it, from one play.
 
@@ -286,7 +304,14 @@ def random_maximal_run(web: Web, rng: random.Random) -> tuple[Strategy, RunResul
     arcs, then a uniform batch size up to what it may take, then that
     many of its legal prey, sorted, and plays the batch through the same
     checks as `run_strategy`; the result is the one `run_strategy(web,
-    strategy, require_exit=True)` returns.  Deterministic given the rng.
+    strategy, require_exit=True)` returns.  Deterministic given the rng,
+    of which it calls `getrandbits` only: each pick is `_below`, and the
+    prey are a partial Fisher-Yates shuffle of the predator's legal
+    heads (Knuth's Algorithm P), stopped after the batch size.  Those
+    are the picks and the bits of `rng.choice(tails)`, `rng.randint(1,
+    size)` and `rng.sample(heads, size)` whenever at most 21 heads are
+    legal, where `sample` shuffles a list too; on more heads `sample`
+    may switch to set rejection and pick other prey.
     Legal arcs are kept in `Digraph.arcs` order, which is sorted and the
     order of `legal_predations`, so the tails come in one pass; an arc
     that stops being legal never becomes legal again, so each step
@@ -297,7 +322,7 @@ def random_maximal_run(web: Web, rng: random.Random) -> tuple[Strategy, RunResul
     remaining = set(legal)
     used: list[tuple[int, int]] = []
     batches: list[PredationBatch] = []
-    choice, randint, sample = rng.choice, rng.randint, rng.sample
+    bits = rng.getrandbits
     while True:
         legal = [arc for arc in legal if arc in remaining and pop[arc[0] - 1] and pop[arc[1] - 1]]
         if not legal:
@@ -308,14 +333,21 @@ def random_maximal_run(web: Web, rng: random.Random) -> tuple[Strategy, RunResul
             if t != last:
                 tails.append(t)
                 last = t
-        pred = choice(tails)
-        mine = [h for t, h in legal if t == pred]
-        prey = sample(mine, randint(1, min(pop[pred - 1], len(mine))))
+        pred = tails[_below(bits, len(tails))]
+        pool = [h for t, h in legal if t == pred]
+        m = len(pool)
+        size = 1 + _below(bits, min(pop[pred - 1], m))
+        prey = []
+        # pool[:i] holds the heads not yet picked; the pick's hole takes pool[i - 1]
+        for i in range(m, m - size, -1):
+            j = _below(bits, i)
+            prey.append(pool[j])
+            pool[j] = pool[i - 1]
         prey.sort()
         consumed = _play(pop, remaining, pred, prey)
         remaining.difference_update(consumed)
         used += consumed
-        # randint draws at least 1, so prey is not empty, and _play has
+        # the batch size is at least 1, so prey is not empty, and _play has
         # checked the move: the batch skips PredationBatch's own check
         batches.append(tuple.__new__(PredationBatch, (pred, frozenset(prey))))
 

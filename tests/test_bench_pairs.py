@@ -80,6 +80,25 @@ def test_summary_against_the_bound(parent, change, worse_by, within, unresolved)
     assert (items["within_bound"], items["unresolved"]) == (within, unresolved)
 
 
+# ten parent walls with an interquartile range of 0.02 (0.99 to 1.01)
+TEN = TIGHT * 2
+
+
+@pytest.mark.parametrize("change, claim_met", [
+    # nine pairs won and one tie: the tie counts for neither side
+    ([w - 0.1 for w in TEN[:9]] + [TEN[9]], True),
+    # the same gap the other way round is no gain
+    ([w + 0.1 for w in TEN], False),
+    ([w - 0.1 for w in TEN[:8]] + [w + 0.01 for w in TEN[8:]], False),
+    ([w - 0.005 for w in TEN], False),
+], ids=["met", "worse", "8-of-10", "inside-iqr"])
+def test_summary_claim_verdict(change, claim_met):
+    pairs = [{"parent": result(p, 1 / p), "change": result(c, 1 / c)} for p, c in zip(TEN, change)]
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["wall_s"]["claim_met"] is claim_met
+    assert summary["items_per_s"]["claim_met"] is claim_met
+
+
 def test_summary_line_fields():
     line = ("perfbench: workload=strategy-replay seed=1 trace=0 smoke=0 passes=31 untraced, "
             "0 traced; checks 62, failed 0; unscaled wall 0.7012 s, speed factor 1.0234")

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -81,6 +82,21 @@ class TestCompetitionGraph:
         assert direct == jaco_competition_closed_form(n)
         assert direct.ugraph.edges == tuple(sorted(oracle_competition_edges(d)))
         assert direct.isolated == oracle_isolated(d)
+
+    def test_sparse_digraph_is_linear_in_its_order(self):
+        """Half a million vertices and seven arcs: no per-vertex shift or copy
+        of the vertex list, so the scan takes well under a second (the
+        pair-scan oracles are cubic, so the answer is written out)."""
+        n = 500_000
+        d = make_digraph(n, [(1, 400_000), (2, 400_000), (3, n - 1), (n - 2, n - 1),
+                             (250_000, 7), (n - 10, 10), (n - 5, 10)])
+        start = time.perf_counter()
+        c = competition_graph(d)
+        elapsed = time.perf_counter() - start
+        assert c.ugraph.edges == ((1, 2), (3, n - 2), (n - 10, n - 5))
+        rivals = {1, 2, 3, n - 2, n - 10, n - 5}
+        assert c.isolated == tuple(v for v in range(1, n + 1) if v not in rivals)
+        assert elapsed < 1.0
 
     def test_edges_share_one_int_per_vertex(self):
         edges = competition_graph(build_jaco(600).digraph).ugraph.edges

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 
 import pytest
 from conftest import (
@@ -411,6 +412,45 @@ def test_random_maximal_run_equals_the_oracle_draw(w, seed):
     assert strategy == oracle_random_maximal_strategy(w, ref)
     assert rng.getstate() == ref.getstate()
     assert result == run_strategy(w, strategy, require_exit=True)
+
+
+@given(random_webs(max_n=7, max_extra=8), st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_random_maximal_run_draws_only_getrandbits(w, seed):
+    """An rng that has nothing but getrandbits draws the same run."""
+    bits_only = types.SimpleNamespace(getrandbits=random.Random(seed).getrandbits)
+    assert random_maximal_run(w, bits_only) == random_maximal_run(w, random.Random(seed))
+
+
+def test_random_maximal_run_on_a_large_pool():
+    """v_30 preys on v_1..v_29: its 29 legal heads are more than
+    random.sample shuffles as a list, and the prey are still the picks of
+    a partial Fisher-Yates shuffle over the heads in arc order."""
+    n = 30
+    w = web(n, [(n, h) for h in range(1, n)])
+    differs_from_sample = 0
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        strategy, result = random_maximal_run(w, rng)
+        # v_30 keeps population above the number of its legal heads, and a
+        # head leaves the pool once it is preyed on
+        heads, expected = list(range(1, n)), []
+        while heads:
+            assert ref.randrange(1) == 0  # the one tail
+            m = len(heads)
+            pool, prey = list(heads), []
+            for i in range(1 + ref.randrange(m)):
+                j = ref.randrange(m - i)
+                prey.append(pool[j])
+                pool[j] = pool[m - i - 1]
+            expected.append(PredationBatch(n, prey))
+            heads = [h for h in heads if h not in prey]
+        assert strategy == tuple(expected)
+        assert rng.getstate() == ref.getstate()
+        assert result == run_strategy(w, strategy, require_exit=True)
+        differs_from_sample += strategy != oracle_random_maximal_strategy(w, random.Random(seed))
+    # random.sample rejects on a set when the pool is large and the batch small
+    assert differs_from_sample
 
 
 @given(random_webs(max_n=7, max_extra=8), st.integers(0, 10_000))

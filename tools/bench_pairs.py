@@ -18,9 +18,10 @@ method, every pair (each run's JSON result plus the pass count, unscaled
 wall time and speed factor of its summary line) and a summary per
 end-to-end metric: each side's median and quartiles
 (`statistics.quantiles(n=4, method="inclusive")`), the change/parent ratio
-of the medians, the pairs the change won (ties count for neither), and
-whether the change's median is inside the metric's `bound` from
-`BENCHMARK.json` or the parent's spread is too wide to tell.
+of the medians, the pairs the change won (ties count for neither), whether
+the change may claim a gain on it, and whether the change's median is
+inside the metric's `bound` from `BENCHMARK.json` or the parent's spread
+is too wide to tell.
 The summary also holds each side's median pass count, on which a
 workload's `peak_rss_mb` can depend.  The file is rewritten after every
 pair, so an interrupted run keeps the pairs it finished.
@@ -65,9 +66,14 @@ def quartiles(values: list[float]) -> dict:
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the ratio of
     the medians, the pairs the change won, whether the gap between the
-    medians exceeds the parent's interquartile range, and the regression
-    check against the metric's bound; then each side's median pass count
-    (None when a run's count is unknown).
+    medians exceeds the parent's interquartile range, the claim verdict,
+    and the regression check against the metric's bound; then each side's
+    median pass count (None when a run's count is unknown).
+
+    `claim_met` holds when the change's median is the better one, the
+    change won at least nine tenths of the pairs and the gap between the
+    medians exceeds the parent's interquartile range: the rule for
+    claiming a gain.
 
     The regression check gives `worse_by`, the relative change of the
     medians in the metric's worse direction (negative when the change
@@ -91,13 +97,15 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         base, median = sides["parent"]["median"], sides["change"]["median"]
         iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
         worse_by = (median - base if lower else base - median) / base
+        gap_exceeds_iqr = abs(median - base) > iqr
         all_better = max(change) < min(parent) if lower else min(change) > max(parent)
         summary[name] = {
             **sides,
             "change_over_parent": median / base,
             "change_better_pairs": wins,
             "pairs": len(pairs),
-            "gap_exceeds_parent_iqr": abs(median - base) > iqr,
+            "gap_exceeds_parent_iqr": gap_exceeds_iqr,
+            "claim_met": worse_by < 0 and 10 * wins >= 9 * len(pairs) and gap_exceeds_iqr,
             "bound": bound,
             "worse_by": worse_by,
             "within_bound": worse_by <= bound,
