@@ -90,6 +90,8 @@ def cmd_competition(args) -> int:
 
     if args.input is None and args.jaco is None:
         raise GraphError("competition needs an input graph file or --jaco N")
+    if args.input is not None and args.jaco is not None:
+        raise GraphError("competition takes an input graph file or --jaco N, not both")
     if args.check:
         if args.jaco is None:
             raise GraphError("--check needs --jaco N")

@@ -9,12 +9,15 @@ Anti-parallel arc pairs ((u, v) together with (v, u)) are rejected
 globally: every digraph here is an orientation of a simple graph, so
 2-cycles never arise and the game-state encoding can identify an arc
 with the undirected edge it orients.
+
+`UGraph.adjacency` is the one per-vertex neighbour table: neighbours,
+degrees, connectivity and automorphisms all read it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict, deque
+from collections import deque
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -46,17 +49,19 @@ class UGraph(NamedTuple):
     n: int
     edges: tuple[tuple[int, int], ...]
 
+    def adjacency(self) -> list[set[int]]:
+        """The neighbours of each vertex v as a set at position v; position 0 is empty."""
+        adjacent: list[set[int]] = [set() for _ in range(self.n + 1)]
+        for u, v in self.edges:
+            adjacent[u].add(v)
+            adjacent[v].add(u)
+        return adjacent
+
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for u, w in self.edges:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return out
+        return sorted(self.adjacency()[_check_vertex(v, self.n)])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self.adjacency()[_check_vertex(v, self.n)])
 
 
 # An indexing assigns labels 1..n to the n structural positions of a base
@@ -154,15 +159,11 @@ def is_connected(g: UGraph) -> bool:
     """True iff g has a single connected component (n >= 1 required)."""
     if g.n < 1:
         raise GraphError("connectivity needs at least one vertex")
-    adj = defaultdict(list)
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adjacent = g.adjacency()
     seen = {1}
     queue = deque([1])
     while queue:
-        v = queue.popleft()
-        for w in adj[v]:
+        for w in adjacent[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -173,17 +174,27 @@ def is_connected(g: UGraph) -> bool:
 # serialization: JSON dictionaries and DOT text
 # ---------------------------------------------------------------------------
 
+def _pairs_from_json(obj, build, kind: str, key: str, pair: str):
+    """`build(n, pairs)` of {"n": n, key: [pair, ...]}; kind, key and pair word the errors."""
+    if not isinstance(obj, dict) or "n" not in obj or key not in obj:
+        raise GraphError(f'{kind} JSON must be {{"n": <int>, "{key}": [{pair}, ...]}}')
+    pairs = obj[key]
+    if not isinstance(pairs, list):
+        raise GraphError(f'"{key}" must be a list of {pair} pairs')
+    return build(obj["n"], [tuple(p) if isinstance(p, list) else p for p in pairs])
+
+
+def _to_dot(kind: str, n: int, pairs, link: str) -> str:
+    lines = [f"  {v};" for v in range(1, n + 1)] + [f"  {a} {link} {b};" for a, b in pairs]
+    return "\n".join([f"{kind} {{", *lines, "}"]) + "\n"
+
+
 def digraph_to_json(d: Digraph) -> dict:
     return {"n": d.n, "arcs": [list(a) for a in d.arcs]}
 
 
 def digraph_from_json(obj) -> Digraph:
-    if not isinstance(obj, dict) or "n" not in obj or "arcs" not in obj:
-        raise GraphError('digraph JSON must be {"n": <int>, "arcs": [[tail, head], ...]}')
-    arcs = obj["arcs"]
-    if not isinstance(arcs, list):
-        raise GraphError('"arcs" must be a list of [tail, head] pairs')
-    return make_digraph(obj["n"], [tuple(a) if isinstance(a, list) else a for a in arcs])
+    return _pairs_from_json(obj, make_digraph, "digraph", "arcs", "[tail, head]")
 
 
 def ugraph_to_json(g: UGraph) -> dict:
@@ -191,25 +202,12 @@ def ugraph_to_json(g: UGraph) -> dict:
 
 
 def ugraph_from_json(obj) -> UGraph:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise GraphError('graph JSON must be {"n": <int>, "edges": [[u, v], ...]}')
-    edges = obj["edges"]
-    if not isinstance(edges, list):
-        raise GraphError('"edges" must be a list of [u, v] pairs')
-    return make_ugraph(obj["n"], [tuple(e) if isinstance(e, list) else e for e in edges])
+    return _pairs_from_json(obj, make_ugraph, "graph", "edges", "[u, v]")
 
 
 def digraph_to_dot(d: Digraph) -> str:
-    lines = ["digraph {"]
-    lines += [f"  {v};" for v in range(1, d.n + 1)]
-    lines += [f"  {t} -> {h};" for t, h in d.arcs]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot("digraph", d.n, d.arcs, "->")
 
 
 def ugraph_to_dot(g: UGraph) -> str:
-    lines = ["graph {"]
-    lines += [f"  {v};" for v in range(1, g.n + 1)]
-    lines += [f"  {u} -- {v};" for u, v in g.edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _to_dot("graph", g.n, g.edges, "--")

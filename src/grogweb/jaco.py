@@ -145,8 +145,10 @@ def max_degree_vertex(table: tuple[list[int], list[int]], n: int) -> int:
 
     Kept alongside jaconian for cross-checking: the two notions agree for
     every order checked so far, and the verification report records any
-    order where they differ.
+    order where they differ.  Raises GraphError unless 1 <= n <= the table's order.
     """
+    if not 1 <= n <= len(table[1]):
+        raise GraphError(f"max-degree vertex needs 1 <= n <= {len(table[1])}, got {n!r}")
     deg = [d + min(n, b) - j for j, d, b in zip(range(1, n + 1), *table)]
     return deg.index(max(deg)) + 1
 

@@ -169,10 +169,7 @@ def automorphism_count(g: UGraph) -> int:
     vertices need not walk their 40,320.
     """
     check_web_order(g.n)
-    adjacent: list[set[int]] = [set() for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        adjacent[u].add(v)
-        adjacent[v].add(u)
+    adjacent = g.adjacency()
     image = [0] * (g.n + 1)
     count = 1
     for v in range(1, g.n + 1):
@@ -207,7 +204,7 @@ def _walk(g: UGraph) -> tuple[int, Web, Counter[int]]:
     placement, so it is the least optimal placement indexing.
     """
     _check_base(g)
-    k = max(max(g.degree(v) for v in range(1, g.n + 1)) - 1, 0)
+    k = max(max(map(len, g.adjacency())) - 1, 0)
     grogs: dict[Web, int] = {}
     counts: Counter[int] = Counter()
     best = (math.inf,)  # (grog, labels, web) of the least placement so far

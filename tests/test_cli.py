@@ -639,7 +639,9 @@ def test_library_errors_exit_with_usage(monkeypatch, capsys, error):
     (["competition", "FILE", "--check"], "--check needs --jaco N"),
     (["competition", "FILE", "--closed-form"], "--closed-form needs --jaco N"),
     (["enumerate", "--graph", "star"], "--graph star needs --n"),
-], ids=["no-input", "check-without-jaco", "closed-form-without-jaco", "family-without-n"])
+    (["competition", "FILE", "--jaco", "5"], "competition takes an input graph file or --jaco N, not both"),
+], ids=["no-input", "check-without-jaco", "closed-form-without-jaco", "family-without-n",
+        "file-and-jaco"])
 def test_usage_errors(capsys, web1_file, argv, message):
     # FILE is a readable digraph, so only the missing flag is at fault
     assert cli.main([web1_file if a == "FILE" else a for a in argv]) == 2

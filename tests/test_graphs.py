@@ -63,10 +63,13 @@ class TestMakeDigraph:
     (lambda: make_ugraph(3, [5]), "edge must be a (u, v) pair, got 5"),
     (lambda: is_connected(make_ugraph(0, [])), "connectivity needs at least one vertex"),
     (lambda: ugraph_from_json({"n": 2, "edges": "nope"}), '"edges" must be a list of [u, v] pairs'),
+    (lambda: digraph_from_json({"arcs": []}), 'digraph JSON must be {"n": <int>, "arcs": [[tail, head], ...]}'),
+    (lambda: digraph_from_json({"n": 2, "arcs": "nope"}), '"arcs" must be a list of [tail, head] pairs'),
+    (lambda: ugraph_from_json([1, 2]), 'graph JSON must be {"n": <int>, "edges": [[u, v], ...]}'),
     (lambda: star_graph(1), "a star needs n >= 2, got 1"),
     (lambda: complete_graph(1), "a complete graph needs n >= 2, got 1"),
 ], ids=["vertex-type", "arc-shape", "ugraph-count", "edge-shape", "connected-empty",
-        "edges-json", "star-order", "complete-order"])
+        "edges-json", "digraph-json", "arcs-json", "graph-json", "star-order", "complete-order"])
 def test_graph_error_messages(call, message):
     with pytest.raises(GraphError) as raised:
         call()
@@ -168,6 +171,52 @@ def small_ugraphs(draw):
     return make_ugraph(n, edges)
 
 
+@st.composite
+def ugraphs_up_to_8(draw):
+    n = draw(st.integers(0, 8))
+    pool = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    # either orientation of each pair, to exercise make_ugraph's sorting
+    return make_ugraph(n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
+
+
+def union_find_components(g):
+    parent = list(range(g.n + 1))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[root(u)] = root(v)
+    return len({root(v) for v in range(1, g.n + 1)})
+
+
+@given(ugraphs_up_to_8())
+@settings(max_examples=150)
+def test_one_adjacency_table_serves_every_reader(g):
+    adjacent = g.adjacency()
+    assert len(adjacent) == g.n + 1 and adjacent[0] == set()
+    for v in range(1, g.n + 1):
+        # the edge-scan definition of neighbors, as the oracle
+        scan = [w if u == v else u for u, w in g.edges if v in (u, w)]
+        assert adjacent[v] == set(scan)
+        assert g.neighbors(v) == scan == sorted(scan)
+        assert g.degree(v) == len(adjacent[v]) == len(scan)
+    if g.n >= 1:
+        assert is_connected(g) == (union_find_components(g) == 1)
+
+
+def test_neighbors_outside_the_vertex_range():
+    g = make_ugraph(3, [(1, 2)])
+    for v in (0, 4, -1):
+        with pytest.raises(GraphError, match="out of range 1..3"):
+            g.neighbors(v)
+        with pytest.raises(GraphError, match="out of range 1..3"):
+            g.degree(v)
+
+
 @given(small_ugraphs())
 @settings(max_examples=60)
 def test_orientations_cover_and_project(g):
@@ -206,3 +255,7 @@ class TestSerialization:
     def test_ugraph_dot(self):
         g = make_ugraph(2, [(1, 2)])
         assert ugraph_to_dot(g) == "graph {\n  1;\n  2;\n  1 -- 2;\n}\n"
+
+    def test_empty_dot(self):
+        assert digraph_to_dot(make_digraph(0, [])) == "digraph {\n}\n"
+        assert ugraph_to_dot(make_ugraph(0, [])) == "graph {\n}\n"

@@ -130,6 +130,13 @@ class TestJaconian:
         with pytest.raises(GraphError):
             check_jaconian(jaco_table(5), 6)
 
+    @pytest.mark.parametrize("n", [0, 6, 40])
+    def test_max_degree_vertex_domain(self, n):
+        # orders past the table's 5 rows, or below 1, have no answer in it
+        with pytest.raises(GraphError, match=f"needs 1 <= n <= 5, got {n}$"):
+            max_degree_vertex(jaco_table(5), n)
+        assert max_degree_vertex(jaco_table(5), 1) == 1
+
     def test_check_on_a_table(self):
         table = jaco_table(5)
         assert table == ([0, 1, 1, 1, 2], [2, 3, 5, 7, 8])
