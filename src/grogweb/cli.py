@@ -95,6 +95,9 @@ def cmd_competition(args) -> int:
     if args.check:
         if args.jaco is None:
             raise GraphError("--check needs --jaco N")
+        if args.closed_form or args.format != "text":
+            flag = "--closed-form" if args.closed_form else f"--format {args.format}"
+            raise GraphError(f"--check prints one text line and takes no {flag}")
         result = check_theorem_1_1(args.jaco)
         if result.all_equal:
             _emit("equal\n", args.out)
@@ -199,6 +202,8 @@ def cmd_enumerate(args) -> int:
             raise GraphError(f"--graph {args.graph} needs --n")
         check_web_order(args.n)  # before the family builds a base of that order
         base = families[args.graph](args.n)
+    elif args.n is not None:
+        raise GraphError("--n needs --graph path, cycle, star or complete, not a graph file")
     else:
         base = ugraph_from_json(_load_json_file(args.graph))
     if args.format == "csv" and not args.distribution:
@@ -211,16 +216,14 @@ def cmd_enumerate(args) -> int:
     distribution = {r: c * (1 if args.dedup else aut) for r, c in histogram.items()}
     web_count = sum(distribution.values())
     # only the greedy counts depend on orientation, so only --distribution
-    # walks the webs, and csv, which prints no count, walks none
-    greedy = (
-        (w, enumerate_greedy(w)) for w in enumerate_webs(base, dedup=args.dedup)
-    ) if args.distribution and args.format != "csv" else ()
-
+    # walks the webs: json each web of the requested stream, text each
+    # distinct web once, and csv, which prints no count, none
     def json_rows():
         """Each web's row, indented as json.dumps indents it inside "webs";
         one exact solve per labelled edge set."""
         solved: dict[tuple[tuple[int, int], ...], int] = {}
-        for w, g in greedy:
+        for w in enumerate_webs(base, dedup=args.dedup):
+            g = enumerate_greedy(w)
             key = underlying(w.digraph).edges
             if key not in solved:
                 solved[key] = solve_exact(w).grog
@@ -264,7 +267,7 @@ def cmd_enumerate(args) -> int:
             f"grog number g(G) = {grog}",
         ]
         if args.distribution:
-            counts = {g.count for _, g in greedy}
+            counts = {enumerate_greedy(w).count for w in enumerate_webs(base, dedup=True)}
             lines.append("residual distribution:")
             lines += [f"  {r}: {c}" for r, c in distribution.items()]
             lines.append(f"greedy strategies per web: min {min(counts)}, max {max(counts)}")
@@ -299,6 +302,8 @@ def cmd_verify(args) -> int:
     config = claims.HarnessConfig(seed=args.seed)
     if args.n_max is not None:
         fields = {claims.CLAIM_INFO[cid][2] for cid in ids} - {None}
+        if not fields:
+            raise GraphError(f"--n-max sets no range: claim {args.claim} has none")
         config = config._replace(**dict.fromkeys(fields, args.n_max))
     report = claims.run_claims(ids, config)
 

@@ -123,10 +123,12 @@ def enumerate_webs(g: UGraph, dedup: bool = False) -> Iterator[Web]:
     oriented = [d.arcs for d in orientations(g)]
 
     def gen() -> Iterator[Web]:
-        seen: set[frozenset[frozenset[int]]] = set()
+        seen: set[int] = set()
         for labels in indexings(g.n):
             if dedup:
-                edges = frozenset(frozenset((labels[p - 1], labels[q - 1])) for p, q in g.edges)
+                # the labelled edge set as one int: bits a*n + b and b*n + a per edge {a, b}
+                edges = sum(1 << labels[p - 1] * g.n + labels[q - 1]
+                            | 1 << labels[q - 1] * g.n + labels[p - 1] for p, q in g.edges)
                 if edges in seen:
                     continue
                 seen.add(edges)

@@ -423,8 +423,30 @@ class TestEnumerateCommand:
         finally:
             tracemalloc.stop()
         assert "webs enumerated: 23040" in capsys.readouterr().out
-        assert len(calls) == 23040
+        assert len(calls) == 11520
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("family, n, distinct", [
+        ("cycle", 4, 48), ("complete", 4, 64), ("path", 6, 11520),
+    ])
+    def test_text_greedy_counts_walk_each_distinct_web_once(
+            self, monkeypatch, capsys, family, n, distinct):
+        # the raw stream repeats each distinct web |Aut| times, all with one
+        # greedy count, so text reads the deduplicated stream either way
+        argv = ["enumerate", "--graph", family, "--n", str(n), "--distribution"]
+        assert cli.main(argv + ["--dedup"]) == 0
+        greedy_line = capsys.readouterr().out.splitlines()[-1]
+        assert greedy_line.startswith("greedy strategies per web: min ")
+        calls = []
+
+        def counting(web):
+            calls.append(web.digraph.arcs)
+            return enumerate_greedy(web)
+
+        monkeypatch.setattr("grogweb.engine.enumerate_greedy", counting)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == greedy_line
+        assert len(calls) == len(set(calls)) == distinct
 
     def test_json_rows_stream_to_the_file(self, capsys, tmp_path):
         # P_5's 1,920 rows peaked near 4.9 MB when held as dicts and one text
@@ -620,6 +642,16 @@ def test_enumerate_stream_output_is_pinned(capsys, family, n):
     assert digest == ENUMERATE_STREAM_SHA256[family, n]
 
 
+def test_check_flag_errors_come_before_the_check(monkeypatch, capsys):
+    def check(*args):
+        raise AssertionError("thm-1.1 checked despite the usage error")
+
+    monkeypatch.setattr(competition, "check_theorem_1_1", check)
+    for flag in (["--format", "json"], ["--closed-form"]):
+        assert cli.main(["competition", "--check", "--jaco", "6", *flag]) == 2
+        assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "error", [GraphError("bad base"), OverflowError("count too large"), OSError("disk full")],
     ids=lambda e: type(e).__name__,
@@ -640,10 +672,22 @@ def test_library_errors_exit_with_usage(monkeypatch, capsys, error):
     (["competition", "FILE", "--closed-form"], "--closed-form needs --jaco N"),
     (["enumerate", "--graph", "star"], "--graph star needs --n"),
     (["competition", "FILE", "--jaco", "5"], "competition takes an input graph file or --jaco N, not both"),
+    (["competition", "--check", "--jaco", "6", "--format", "json"],
+     "--check prints one text line and takes no --format json"),
+    (["competition", "--check", "--jaco", "6", "--format", "dot"],
+     "--check prints one text line and takes no --format dot"),
+    (["competition", "--check", "--jaco", "6", "--closed-form"],
+     "--check prints one text line and takes no --closed-form"),
+    (["enumerate", "--graph", "FILE", "--n", "9"],
+     "--n needs --graph path, cycle, star or complete, not a graph file"),
+    (["verify", "--claim", "lemma-2.1", "--n-max", "5"],
+     "--n-max sets no range: claim lemma-2.1 has none"),
 ], ids=["no-input", "check-without-jaco", "closed-form-without-jaco", "family-without-n",
-        "file-and-jaco"])
+        "file-and-jaco", "check-with-json", "check-with-dot", "check-with-closed-form",
+        "file-with-n", "n-max-without-range"])
 def test_usage_errors(capsys, web1_file, argv, message):
-    # FILE is a readable digraph, so only the missing flag is at fault
+    # FILE is a readable digraph, so only the missing flag is at fault; as a
+    # base it would be refused, so file-with-n shows that FILE is never read
     assert cli.main([web1_file if a == "FILE" else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
@@ -690,8 +734,16 @@ class TestNMaxRouting:
         assert ids == [cid]
         assert changed == {N_MAX_ROUTES[cid]: 5}
 
-    def test_claim_without_range_changes_nothing(self, captured):
-        assert captured("--claim", "web-count", "--n-max", "5") == (["web-count"], {})
+    def test_claim_without_range_refuses_n_max(self, monkeypatch, capsys):
+        def run_claims(*args):
+            raise AssertionError("a claim ran despite the usage error")
+
+        monkeypatch.setattr(claims, "run_claims", run_claims)
+        for cid, (_, _, field) in claims.CLAIM_INFO.items():
+            if field is None:
+                assert cli.main(["verify", "--claim", cid, "--n-max", "5"]) == 2, cid
+                assert capsys.readouterr() == (
+                    "", f"error: --n-max sets no range: claim {cid} has none\n"), cid
 
     def test_all_claims_set_every_range_field(self, captured):
         ids, changed = captured("--n-max", "5")

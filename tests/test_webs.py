@@ -133,6 +133,20 @@ class TestEnumerateWebs:
             firsts = [a for a in raw if a not in seen and not seen.add(a)]
             assert dedup == firsts
 
+    def test_dedup_keys_stay_small(self):
+        # the first 60,000 dedup webs of P_8 come from its first 469
+        # indexings, each kept; one frozenset of frozensets per labelled edge
+        # set peaked at 1.1 MB here (47.3 MB over all 40,320 indexings), one
+        # int per set at 0.05 MB (3.5 MB over all of them)
+        webs = enumerate_webs(path_graph(8), dedup=True)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in itertools.islice(webs, 60_000)) == 60_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
     def test_caps_and_connectivity(self):
         with pytest.raises(CapExceeded):
             enumerate_webs(path_graph(9))  # 9 > WEB_N_CAP, raised at the call
